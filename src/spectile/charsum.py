@@ -36,14 +36,44 @@ class SliceCounts:
     counts: tuple[int, ...]
 
 
+def _coordinates(A: GroupSet) -> list[tuple[int, int]]:
+    """The (x, y) pairs of A, ascending; extracted once per set."""
+    pn = A.params.pn
+    return [divmod(i, pn) for i in A.indices()]
+
+
+def _slice_tally(params: GroupParams, pairs, ux: int, uy: int) -> dict[int, int]:
+    """Nonzero counts |{a : <a, u> = t}| for u = (ux, uy), keyed by t."""
+    pn = params.pn
+    w = pn // params.p * ux
+    tally: dict[int, int] = {}
+    for x, y in pairs:
+        t = (w * x + uy * y) % pn
+        tally[t] = tally.get(t, 0) + 1
+    return tally
+
+
+def _slices_equal(params: GroupParams, pairs, ux: int, uy: int) -> bool:
+    """The slice-count criterion for the character at u = (ux, uy).
+
+    Stepping t -> t + p^(n-1) cycles through the p slices of one residue
+    class mod p^(n-1), so it suffices that every occurring t has the same
+    count as its successor; classes that never occur are all zero.  Cost
+    O(|A|), independent of the group order.
+    """
+    pn = params.pn
+    step = pn // params.p
+    tally = _slice_tally(params, pairs, ux, uy)
+    for t, count in tally.items():
+        if tally.get((t + step) % pn) != count:
+            return False
+    return True
+
+
 def slice_counts(A: GroupSet, u: Element) -> SliceCounts:
     _require_same_params(A.params, u.params)
-    t = group_tables(A.params)
-    counts = [0] * t.pn
-    u_idx = u.index
-    for e_idx in A.indices():
-        counts[t.inner(e_idx, u_idx)] += 1
-    return SliceCounts(u, tuple(counts))
+    tally = _slice_tally(A.params, _coordinates(A), u.x, u.y)
+    return SliceCounts(u, tuple(tally.get(t, 0) for t in range(A.params.pn)))
 
 
 def is_zero_equidist(A: GroupSet, u: Element) -> bool:
@@ -53,18 +83,7 @@ def is_zero_equidist(A: GroupSet, u: Element) -> bool:
     counts[t + j * p^(n-1)], j = 0 .. p-1, coincide.
     """
     _require_same_params(A.params, u.params)
-    t = group_tables(A.params)
-    counts = [0] * t.pn
-    u_idx = u.index
-    for e_idx in A.indices():
-        counts[t.inner(e_idx, u_idx)] += 1
-    pn1 = t.pn1
-    for c in range(pn1):
-        first = counts[c]
-        for j in range(1, t.p):
-            if counts[c + j * pn1] != first:
-                return False
-    return True
+    return _slices_equal(A.params, _coordinates(A), u.x, u.y)
 
 
 @dataclass(frozen=True)
@@ -227,10 +246,12 @@ def zero_set(A: GroupSet) -> ZeroProfile:
     """
     q = A.params
     t = group_tables(q)
-    reps = []
-    for rid, rep in enumerate(t.reps):
-        if is_zero_equidist(A, q.element_from_index(t.rep_elem_index[rid])):
-            reps.append(rep)
+    pairs = _coordinates(A)
+    reps = [
+        rep
+        for rep, idx in zip(t.reps, t.rep_elem_index)
+        if _slices_equal(q, pairs, *divmod(idx, q.pn))
+    ]
     return ZeroProfile.from_reps(q, reps)
 
 

@@ -12,7 +12,6 @@ choice is free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .charsum import ZeroProfile, zero_set
 from .errors import (
@@ -32,7 +31,8 @@ from .oracle import (
 from .structure import classify_size
 
 # Spectral-pair verification inside the constructions is skipped above this
-# many difference tests; tiling verification is linear and always runs.
+# many difference tests, and the trace then records "verified": False;
+# tiling verification always runs.
 _VERIFY_DIFF_BUDGET = 2**21
 
 
@@ -70,21 +70,32 @@ def nonspectral_size_witness(A: GroupSet) -> SizeObstruction | None:
 def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
     """All y in Z_{p^n} supported on the given digit positions."""
     p = params.p
-    out = []
-    for combo in product(range(p), repeat=len(positions)):
-        y = 0
-        for d, pos in zip(combo, positions):
-            y += d * p**pos
-        out.append(y)
+    out = [0]
+    for pos in positions:
+        w = p**pos
+        out = [y + d * w for y in out for d in range(p)]
     return out
 
 
-def _verify_spectrum(A: GroupSet, B: GroupSet, context: str) -> None:
-    if B.cardinality**2 <= _VERIFY_DIFF_BUDGET and not verify_spectral_pair(A, B):
+def _spectral_check(A: GroupSet, B: GroupSet) -> bool | None:
+    """verify_spectral_pair(A, B), or None when |B|^2 exceeds the budget."""
+    if B.cardinality**2 > _VERIFY_DIFF_BUDGET:
+        return None
+    return verify_spectral_pair(A, B)
+
+
+def _verify_spectrum(A: GroupSet, B: GroupSet, context: str, witnesses: dict) -> dict:
+    """Check the constructed spectrum; returns the witnesses, marked
+    unverified when the check was over budget."""
+    ok = _spectral_check(A, B)
+    if ok is None:
+        witnesses["verified"] = False
+    elif not ok:
         raise InvalidInputError(
             f"{context}: constructed spectrum failed verification; "
             "the input is not the tile it was claimed to be"
         )
+    return witnesses
 
 
 def _verify_complement(A: GroupSet, T: GroupSet, context: str) -> None:
@@ -130,19 +141,20 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
 
     if t_exp == 1:
         # |A| = p: the multiples of any zero form a spectrum.
-        zmask = profile.zero_mask()
-        if zmask == 0:
+        if profile.is_empty():
             raise InvalidInputError("zero set is empty; a nontrivial tile cannot have one")
-        z = q.element_from_index((zmask & -zmask).bit_length() - 1)
+        z = q.element_from_index(min(_lowest_index(q, r) for r in profile.reps))
         B = GroupSet.from_elements(q, (z.scale(r) for r in range(q.p)))
-        _verify_spectrum(A, B, "T2S-p")
-        return B, CaseTrace("T2S-p", "Main", {"zero": [z.x, z.y]})
+        return B, CaseTrace(
+            "T2S-p", "Main", _verify_spectrum(A, B, "T2S-p", {"zero": [z.x, z.y]})
+        )
 
     levels_I = sorted(profile.I)
     if len(levels_I) == t_exp:
         B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
-        _verify_spectrum(A, B, "T2S-pt")
-        return B, CaseTrace("T2S-pt", "IFull", {"I": levels_I})
+        return B, CaseTrace(
+            "T2S-pt", "IFull", _verify_spectrum(A, B, "T2S-pt", {"I": levels_I})
+        )
     if len(levels_I) != t_exp - 1:
         raise InvalidInputError(
             f"{len(levels_I)} axis-zero levels are incompatible with a tile of size "
@@ -172,16 +184,18 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
                 for y in _span_digits(q, levels_I)
             ),
         )
-        _verify_spectrum(A, B, "T2S-pt Case2")
+        witnesses = {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
         return B, CaseTrace(
-            "T2S-pt", "Case2", {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
+            "T2S-pt", "Case2", _verify_spectrum(A, B, "T2S-pt Case2", witnesses)
         )
     if case == "Case3":
         B = GroupSet.from_elements(
             q, ((s0, y) for s0 in range(q.p) for y in _span_digits(q, levels_I))
         )
-        _verify_spectrum(A, B, "T2S-pt Case3")
-        return B, CaseTrace("T2S-pt", "Case3", {"I": levels_I, "J": levels_J})
+        witnesses = {"I": levels_I, "J": levels_J}
+        return B, CaseTrace(
+            "T2S-pt", "Case3", _verify_spectrum(A, B, "T2S-pt Case3", witnesses)
+        )
     if case == "Case1":
         raise ContradictionError(
             "the complement carries the zero pattern of a spectrum larger than "
@@ -198,6 +212,22 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
         "no construction case matches the zero sets; the pair is not a genuine "
         "tiling pair"
     )
+
+
+def _lowest_index(params: GroupParams, rep: ClassRep) -> int:
+    """Lowest element index in the class of a nonzero representative.
+
+    The class of (1, 0) is {(s, 0)}, lowest at (1, 0).  The class of
+    (c, p^i) is {(s*c, s*p^i)} over units s: for c = 0 its lowest element is
+    (0, p^i); otherwise s = c^-1 mod p gives first coordinate 1 and the
+    smallest second one.
+    """
+    pn = params.pn
+    if rep.kind == "unit_axis":
+        return pn
+    if rep.c == 0:
+        return params.p**rep.i
+    return pn + pow(rep.c, -1, params.p) * params.p**rep.i
 
 
 def _tile_spectrum_case(
@@ -253,15 +283,26 @@ def complement_from_spectrum(A: GroupSet, B: GroupSet | None = None) -> tuple[Gr
     A supplied spectrum B is verified and consulted where the case split
     needs its axis-zero levels or a difference witness; without one, a
     spectrum is searched when the group order is within the oracle cap.
+    When B is too large to verify, the trace records "verified": False.
     """
+    if A.cardinality == 0:
+        raise InvalidInputError("the empty set is not spectral")
+    verified = True
+    if B is not None:
+        _require_same_params(A.params, B.params)
+        verified = _spectral_check(A, B)
+        if verified is False:
+            raise InvalidInputError("supplied spectrum fails the spectral-pair check")
+    T, trace = _build_complement(A, B)
+    if verified is None:
+        trace.witnesses["verified"] = False
+    return T, trace
+
+
+def _build_complement(A: GroupSet, B: GroupSet | None) -> tuple[GroupSet, CaseTrace]:
+    # complement_from_spectrum once the input checks have passed
     q = A.params
     k = A.cardinality
-    if k == 0:
-        raise InvalidInputError("the empty set is not spectral")
-    if B is not None:
-        _require_same_params(q, B.params)
-        if B.cardinality**2 <= _VERIFY_DIFF_BUDGET and not verify_spectral_pair(A, B):
-            raise InvalidInputError("supplied spectrum fails the spectral-pair check")
     if k == 1:
         T = GroupSet.full(q)
         return T, CaseTrace("S2T-trivial", "Trivial")

@@ -22,16 +22,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
-# Largest admissible group order p^(n+1); practical runs stay far below this.
-DEFAULT_ORDER_LIMIT = 2**32
+# Largest admissible group order p^(n+1).  The single-set commands are
+# measured to stay well under a second and a few tens of MB at this order
+# on 2-element sets; a bitmap here is a 2 MB integer.
+DEFAULT_ORDER_LIMIT = 2**24
 
-# Per-class fiber bitmaps are only tabulated for groups this small.  The
-# enumeration harness needs them; single-set operations fall back to counting.
+# Per-class fiber bitmaps are only tabulated for groups this small.  Only the
+# enumeration harness needs them; single-set operations count residues.
 _FIBER_TABLE_LIMIT = 4096
 # Below this order the translation rotation masks are prebuilt as lists
-# (the enumeration hot path); above it they are cached per offset on demand.
+# (the enumeration hot path); above it each translation builds its own.
 _EAGER_TABLE_LIMIT = 4096
 
 
@@ -223,25 +225,29 @@ class GroupSet:
 
     @classmethod
     def from_indices(cls, params: GroupParams, indices) -> "GroupSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < params.order:
-                raise ParameterError(f"element index {i} out of range [0, {params.order})")
-            mask |= 1 << i
-        return cls(params, mask)
+        order = params.order
+        idxs = list(indices)
+        for i in idxs:
+            if not 0 <= i < order:
+                raise ParameterError(f"element index {i} out of range [0, {order})")
+        return cls(params, _mask_of(order, idxs))
 
     @classmethod
     def from_elements(cls, params: GroupParams, elements) -> "GroupSet":
-        mask = 0
+        p, pn = params.p, params.pn
+        idxs = []
         for e in elements:
             if isinstance(e, Element):
                 _require_same_params(params, e.params)
-                idx = e.index
-            else:
-                x, y = e
-                idx = Element(params, x, y).index
-            mask |= 1 << idx
-        return cls(params, mask)
+                idxs.append(e.index)
+                continue
+            x, y = e
+            if not (0 <= x < p and 0 <= y < pn):
+                raise ParameterError(
+                    f"element ({x}, {y}) out of range for p={p}, n={params.n}"
+                )
+            idxs.append(x * pn + y)
+        return cls(params, _mask_of(params.order, idxs))
 
     @property
     def cardinality(self) -> int:
@@ -255,12 +261,13 @@ class GroupSet:
         return bool(self.mask >> e.index & 1)
 
     def indices(self) -> list[int]:
+        """Element indices in ascending order, in one scan of the bitmap."""
+        bits = bin(self.mask)[:1:-1]  # least significant bit first
         out = []
-        m = self.mask
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = bits.find("1", i + 1)
         return out
 
     def elements(self) -> list[Element]:
@@ -268,6 +275,14 @@ class GroupSet:
 
     def is_full(self) -> bool:
         return self.mask == (1 << self.params.order) - 1
+
+
+def _mask_of(order: int, idxs) -> int:
+    """Bitmap with the given (in-range) bits set, built in one pass."""
+    buf = bytearray((order + 7) >> 3)
+    for i in idxs:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +390,13 @@ class GroupTables:
     Everything sized in the group order is built lazily so that large (but
     in-cap) groups only pay for the tables their operations actually touch;
     below _EAGER_TABLE_LIMIT the rotation masks are prebuilt as lists, which
-    the enumeration hot loop relies on.
+    the enumeration hot loop relies on.  Above it nothing per offset is
+    kept, so memory stays a few bitmaps whatever the translations used.
     """
 
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "reps", "rep_count", "rep_elem_index", "_class_id", "_class_masks",
+        "reps", "rep_count", "rep_elem_index", "_class_masks",
         "_fibers", "_rot_keep", "_rot_move",
     )
 
@@ -405,7 +421,6 @@ class GroupTables:
         self.rep_count = len(reps)
         self.rep_elem_index = [r.element(params).index for r in reps]
 
-        self._class_id = None
         self._class_masks = None
         self._fibers = None
         if order <= _EAGER_TABLE_LIMIT:
@@ -417,49 +432,40 @@ class GroupTables:
             self._rot_keep = keep
             self._rot_move = move
         else:
-            self._rot_keep = {0: 0}
-            self._rot_move = {0: 0}
+            self._rot_keep = None
+            self._rot_move = None
 
     def _replicated_low_bits(self, width: int) -> int:
-        # the low `width` bits of every p^n block
-        pattern = (1 << width) - 1
-        k = 0
-        for b in range(self.p):
-            k |= pattern << (b * self.pn)
-        return k
-
-    def _ensure_classes(self) -> None:
-        if self._class_id is not None:
-            return
-        class_id = [-1] * self.order
-        class_masks = [0] * self.rep_count
-        p, pn = self.p, self.pn
-        for idx in range(1, self.order):
-            x, y = divmod(idx, pn)
-            rid = _rep_id(p, pn, x, y)
-            class_id[idx] = rid
-            class_masks[rid] |= 1 << idx
-        self._class_id = class_id
-        self._class_masks = class_masks
-
-    @property
-    def class_id(self) -> list[int]:
-        """Rep id per element index, -1 at the identity."""
-        self._ensure_classes()
-        return self._class_id
+        # the low `width` bits of every p^n block, doubling the block count
+        # each step so large p costs log p big-int operations, not p
+        k = (1 << width) - 1
+        blocks = 1
+        while blocks < self.p:
+            k |= k << (blocks * self.pn)
+            blocks *= 2
+        return k & self.full_mask
 
     @property
     def class_masks(self) -> list[int]:
         """Bitmap of each unit-equivalence class, indexed by rep id."""
-        self._ensure_classes()
+        if self._class_masks is None:
+            class_masks = [0] * self.rep_count
+            p, pn = self.p, self.pn
+            for idx in range(1, self.order):
+                x, y = divmod(idx, pn)
+                class_masks[_rep_id(p, pn, x, y)] |= 1 << idx
+            self._class_masks = class_masks
         return self._class_masks
 
     @property
     def fibers(self):
         """Per-rep bitmaps of the inner-product fibers, grouped by residue
-        class mod p^(n-1); None above the tabulation limit."""
+        class mod p^(n-1); only tabulated for sweep-sized groups."""
         if self.order > _FIBER_TABLE_LIMIT:
-            return None
+            raise CapacityError(
+                f"fiber tables are only built up to order {_FIBER_TABLE_LIMIT}; "
+                f"got {self.order}"
+            )
         if self._fibers is None:
             fibers = []
             pn = self.pn
@@ -485,25 +491,16 @@ class GroupTables:
         bx, by = divmod(b, self.pn)
         return ((ax - bx) % self.p) * self.pn + (ay - by) % self.pn
 
-    def _rotation(self, gy: int) -> tuple[int, int]:
-        # dict-backed path for large groups: build per-gy masks on demand
-        keep = self._rot_keep.get(gy)
-        if keep is None:
-            keep = self._replicated_low_bits(self.pn - gy)
-            self._rot_keep[gy] = keep
-            self._rot_move[gy] = self.full_mask ^ keep
-        return keep, self._rot_move[gy]
-
     def translate_mask(self, m: int, g_idx: int) -> int:
         """Bitmap of {e + g : e in m}."""
         gx, gy = divmod(g_idx, self.pn)
         if gy:
             rot = self._rot_keep
-            if type(rot) is list:
+            if rot is not None:
                 m = ((m & rot[gy]) << gy) | ((m & self._rot_move[gy]) >> (self.pn - gy))
             else:
-                keep, move = self._rotation(gy)
-                m = ((m & keep) << gy) | ((m & move) >> (self.pn - gy))
+                keep = self._replicated_low_bits(self.pn - gy)
+                m = ((m & keep) << gy) | ((m & (self.full_mask ^ keep)) >> (self.pn - gy))
         if gx:
             k = gx * self.pn
             m = ((m << k) | (m >> (self.order - k))) & self.full_mask
@@ -530,48 +527,24 @@ class GroupTables:
         """Bitmask over rep ids of the classes in the zero set of `mask`.
 
         Bit rid is set iff the character at reps[rid] sums to zero on the
-        set, decided by the slice-count equality criterion.
+        set, decided by the slice-count equality criterion on the fiber
+        tables, so it serves sweep-sized groups only.
         """
         key = 0
         fibers = self.fibers
-        if fibers is not None:
-            for rid in range(self.rep_count):
-                for group in fibers[rid]:
-                    c0 = (mask & group[0]).bit_count()
-                    ok = True
-                    for fm in group[1:]:
-                        if (mask & fm).bit_count() != c0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                else:
-                    key |= 1 << rid
-            return key
-        # large-group fallback: tally inner products per representative
-        idxs = []
-        m = mask
-        while m:
-            b = m & -m
-            idxs.append(b.bit_length() - 1)
-            m ^= b
         for rid in range(self.rep_count):
-            u = self.rep_elem_index[rid]
-            counts = [0] * self.pn
-            for e in idxs:
-                counts[self.inner(e, u)] += 1
-            if self._counts_equidistributed(counts):
+            for group in fibers[rid]:
+                c0 = (mask & group[0]).bit_count()
+                ok = True
+                for fm in group[1:]:
+                    if (mask & fm).bit_count() != c0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            else:
                 key |= 1 << rid
         return key
-
-    def _counts_equidistributed(self, counts: list[int]) -> bool:
-        pn1 = self.pn1
-        for c in range(pn1):
-            first = counts[c]
-            for j in range(1, self.p):
-                if counts[c + j * pn1] != first:
-                    return False
-        return True
 
     def zero_mask_for_key(self, key: int) -> int:
         out = 0

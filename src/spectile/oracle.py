@@ -26,9 +26,18 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .charsum import profile_from_key, zero_set
+from .charsum import _coordinates, profile_from_key, zero_set
 from .errors import CapacityError, ParameterError
-from .group import Element, GroupParams, GroupSet, GroupTables, _require_same_params, group_tables
+from .group import (
+    Element,
+    GroupParams,
+    GroupSet,
+    GroupTables,
+    _rep_id,
+    _require_same_params,
+    difference_set,
+    group_tables,
+)
 from .structure import classify_size, divisibility_exponent
 
 # Largest group order accepted by the per-set searches.
@@ -50,19 +59,21 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     Scans pairs u < v of B in ascending index order and returns v - u for
     the first difference outside the zero set of A (the zero set is closed
     under negation, so one direction decides both); returns a message
-    string when the sizes already disagree.
+    string when the sizes already disagree.  Each difference is tested by
+    its class id against the zero profile, so no group-sized table is built.
     """
     _require_same_params(A.params, B.params)
     if A.cardinality != B.cardinality:
         return f"|A| = {A.cardinality} but |B| = {B.cardinality}"
-    t = group_tables(A.params)
-    zmask = zero_set(A).zero_mask()
-    idxs = B.indices()
-    for i, u in enumerate(idxs):
-        for v in idxs[i + 1:]:
-            d = t.sub_index(v, u)
-            if not zmask >> d & 1:
-                return A.params.element_from_index(d)
+    q = A.params
+    p, pn = q.p, q.pn
+    key = zero_set(A).key()
+    pairs = _coordinates(B)
+    for i, (ux, uy) in enumerate(pairs):
+        for vx, vy in pairs[i + 1:]:
+            dx, dy = (vx - ux) % p, (vy - uy) % pn
+            if not key >> _rep_id(p, pn, dx, dy) & 1:
+                return q.element(dx, dy)
     return None
 
 
@@ -75,34 +86,36 @@ def tiling_pair_violation(A: GroupSet, T: GroupSet) -> Element | str | None:
     """None if (A, T) is a tiling pair, else the first offending witness.
 
     Returns a message when |A| * |T| != |G|, otherwise the lowest-index
-    nonzero element shared by the two difference sets.
+    nonzero element shared by the two difference sets.  With S the smaller
+    set and L the larger, the pair tiles iff the |S| translates of L are
+    disjoint; only when they are not are the differences d of S scanned in
+    ascending order for the first with L and L + d overlapping.
     """
     _require_same_params(A.params, T.params)
     q = A.params
     if A.cardinality * T.cardinality != q.order:
         return f"|A| * |T| = {A.cardinality} * {T.cardinality} != {q.order}"
+    S, L = (A, T) if A.cardinality <= T.cardinality else (T, A)
     t = group_tables(q)
-    diff_a = _difference_mask(t, A.mask)
-    diff_t = _difference_mask(t, T.mask)
-    shared = (diff_a & diff_t) >> 1
-    if shared:
-        return q.element_from_index((shared & -shared).bit_length())
-    return None
+    translate = t.translate_mask
+    idxs = S.indices()
+    cover = 0
+    for g in idxs:
+        shifted = translate(L.mask, g)
+        if cover & shifted:
+            break
+        cover |= shifted
+    else:
+        return None
+    for d in difference_set(S).indices()[1:]:  # index 0 is the zero difference
+        if L.mask & translate(L.mask, d):
+            return q.element_from_index(d)
+    raise RuntimeError("overlapping translates without a shared difference")
 
 
 def verify_tiling_pair(A: GroupSet, T: GroupSet) -> bool:
     """True iff |A| * |T| = |G| and the difference sets meet only at 0."""
     return tiling_pair_violation(A, T) is None
-
-
-def _difference_mask(t: GroupTables, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        out |= t.translate_mask(mask, t.neg_index(b.bit_length() - 1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def _run_shard(args: tuple) -> tuple:
     )
     divpow_cache: dict[int, int] = {}
     zmask_cache: dict[int, int] = {}
-    smemo: dict[int, int] = {}  # (pkey << 6 | k) -> spectrum mask, 0 if none
+    smemo: dict[int, int] = {}  # (pkey, k) packed -> spectrum mask, 0 if none
 
     examined = 0
     orbits = 0
@@ -377,7 +390,9 @@ def _run_shard(args: tuple) -> tuple:
             mismatches.append(
                 Mismatch("divisibility", mask, k, f"certified divisor {dp} does not divide {k}")
             )
-        skey = pkey << 6 | k
+        # k <= order, so this packs (pkey, k) injectively into one int
+        # without paying for a tuple in the hot loop
+        skey = pkey * (order + 1) + k
         bmask = smemo.get(skey, -1)
         if bmask == -1:
             zm = zmask_cache.get(pkey)
@@ -415,7 +430,12 @@ def _run_shard(args: tuple) -> tuple:
             try:
                 constructions.spectrum_from_tile(A, T)
             except Exception as exc:  # any failure here is a finding
-                mismatches.append(Mismatch("construction", mask, k, f"spectrum_from_tile: {exc}"))
+                mismatches.append(
+                    Mismatch(
+                        "construction", mask, k,
+                        f"spectrum_from_tile: {type(exc).__name__}: {exc}",
+                    )
+                )
         if sp:
             A = GroupSet(params, mask)
             B = GroupSet(params, bmask)
@@ -423,7 +443,10 @@ def _run_shard(args: tuple) -> tuple:
                 T2, _ = constructions.complement_from_spectrum(A, B)
             except Exception as exc:
                 mismatches.append(
-                    Mismatch("construction", mask, k, f"complement_from_spectrum: {exc}")
+                    Mismatch(
+                        "construction", mask, k,
+                        f"complement_from_spectrum: {type(exc).__name__}: {exc}",
+                    )
                 )
             else:
                 if pkey | profile_key(T2.mask) != all_reps:

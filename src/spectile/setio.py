@@ -17,8 +17,7 @@ def parse_set(text: str) -> GroupSet:
     lines = text.splitlines()
     header_line = None
     params = None
-    mask = 0
-    count = 0
+    seen: set[int] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -36,21 +35,21 @@ def parse_set(text: str) -> GroupSet:
             except ParameterError as exc:
                 raise ParseError(str(exc), lineno) from None
             header_line = lineno
+            p, pn = params.p, params.pn
             continue
-        if not (0 <= a < params.p and 0 <= b < params.pn):
+        if not (0 <= a < p and 0 <= b < pn):
             raise ParseError(
-                f"element ({a}, {b}) out of range for p={params.p}, n={params.n}", lineno
+                f"element ({a}, {b}) out of range for p={p}, n={params.n}", lineno
             )
-        bit = 1 << (a * params.pn + b)
-        if mask & bit:
+        idx = a * pn + b
+        if idx in seen:
             raise ParseError(f"duplicate element ({a}, {b})", lineno)
-        mask |= bit
-        count += 1
+        seen.add(idx)
     if params is None:
         raise ParseError('missing header line "p n"')
-    if count == 0:
+    if not seen:
         raise ParseError("empty set (no element lines)", header_line)
-    return GroupSet(params, mask)
+    return GroupSet.from_indices(params, seen)
 
 
 def load_set(path: str | Path) -> GroupSet:
@@ -58,8 +57,9 @@ def load_set(path: str | Path) -> GroupSet:
 
 
 def serialize_set(A: GroupSet) -> str:
+    pn = A.params.pn
     lines = [f"{A.params.p} {A.params.n}"]
-    lines.extend(f"{e.x} {e.y}" for e in A.elements())
+    lines.extend("%d %d" % divmod(i, pn) for i in A.indices())
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,11 @@
 import json
+from time import perf_counter
 
 import pytest
 
 from spectile import GroupParams, GroupSet, ParseError, parse_set, serialize_set
 from spectile.cli import main
+from spectile.group import DEFAULT_ORDER_LIMIT
 
 from conftest import make_set
 
@@ -205,6 +207,18 @@ class TestEnumerateCommand:
     def test_capacity_exits_3(self):
         assert main(["enumerate", "--p", "2", "--n", "4"]) == 3
 
+    def test_broken_construction_keeps_exception_type(self, monkeypatch, capsys):
+        import spectile.constructions as cons
+
+        def broken(A, T=None):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cons, "spectrum_from_tile", broken)
+        assert main(["enumerate", "--p", "2", "--n", "1", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        details = {mm["detail"] for mm in payload["mismatches"]}
+        assert details == {"spectrum_from_tile: KeyError: 'boom'"}
+
 
 class TestOracleCompareCommand:
     def test_small_run(self, capsys):
@@ -230,6 +244,32 @@ class TestOracleCompareCommand:
         monkeypatch.setattr(cli_mod, "compare_zero_tests", broken)
         assert main(["oracle-compare", "--p", "2", "--n", "1", "--trials", "5"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestLargestAcceptedOrder:
+    # A 2-element tile at the order cap: every single-set command here
+    # costs O(|A|) arithmetic plus a few O(|G|) bitmaps (2 MB each).
+    BOUND_S = 5.0
+
+    def _timed(self, argv):
+        start = perf_counter()
+        rc = main(argv)
+        return rc, perf_counter() - start
+
+    def test_single_set_commands_within_bound(self, tmp_path, capsys):
+        assert GroupParams(2, 23).order == DEFAULT_ORDER_LIMIT
+        a = write(tmp_path, "a.txt", "2 23\n0 0\n0 1\n")
+        rc, wall = self._timed(["analyze", a])
+        assert rc == 0 and wall < self.BOUND_S
+        assert "divisibility-check: 2^1 | 2 ok" in capsys.readouterr().out
+        rc, wall = self._timed(["spectrum", a])
+        assert rc == 0 and wall < self.BOUND_S
+        spectrum = capsys.readouterr().out
+        assert spectrum == f"2 23\n0 0\n0 {2**22}\n"
+        b = write(tmp_path, "b.txt", spectrum)
+        rc, wall = self._timed(["check-pair", a, b, "--mode", "spectral"])
+        assert rc == 0 and wall < self.BOUND_S
+        assert capsys.readouterr().out.strip() == "true"
 
 
 class TestUsageErrors:

@@ -15,9 +15,10 @@ from spectile import (
     verify_tiling_pair,
     zero_set,
 )
+from spectile import constructions
 from spectile.charsum import ZeroProfile
-from spectile.constructions import _tile_spectrum_case
-from spectile.group import ClassRep
+from spectile.constructions import _lowest_index, _tile_spectrum_case
+from spectile.group import ClassRep, class_members
 
 from conftest import make_set
 
@@ -33,6 +34,14 @@ class TestSpectrumFromTile:
         assert (trace.theorem, trace.case) == ("T2S-p", "Main")
         assert trace.witnesses["zero"] == [0, 2]
         assert verify_spectral_pair(A, B)
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
+    def test_lowest_zero_index_is_class_minimum(self, p, n):
+        # T2S-p takes its zero from this arithmetic, not from a class bitmap
+        q = GroupParams(p, n)
+        reps = [ClassRep.unit_axis()] + [ClassRep.mixed(c, i) for i in range(n) for c in range(p)]
+        for rep in reps:
+            assert _lowest_index(q, rep) == class_members(rep, q).indices()[0]
 
     def test_ifull_example(self):
         A = make_set(P22, [(0, 0), (0, 1), (0, 2), (0, 3)])
@@ -252,6 +261,36 @@ class TestComplementFromSpectrum:
         assert find_spectrum_bruteforce(A) is None
         with pytest.raises(InvalidInputError):
             complement_from_spectrum(A)
+
+
+class TestSkippedVerification:
+    # Above _VERIFY_DIFF_BUDGET the spectral-pair check is skipped; the
+    # trace says so instead of looking verified.
+
+    def test_constructed_spectrum_marked_unverified(self, monkeypatch):
+        A = make_set(P22, [(0, 0), (0, 1)])
+        _, trace = spectrum_from_tile(A)
+        assert "verified" not in trace.witnesses
+        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
+        B, trace = spectrum_from_tile(A)
+        assert trace.witnesses == {"zero": [0, 2], "verified": False}
+        assert verify_spectral_pair(A, B)
+
+    def test_supplied_spectrum_marked_unverified(self, monkeypatch):
+        A = GroupSet.from_indices(P23, [0, 1, 8, 9])
+        B = find_spectrum_bruteforce(A)
+        _, trace = complement_from_spectrum(A, B)
+        assert "verified" not in trace.witnesses
+        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
+        T, trace = complement_from_spectrum(A, B)
+        assert trace.witnesses == {"I": [2], "J": [0], "verified": False}
+        assert verify_tiling_pair(A, T)
+
+    def test_bad_supplied_spectrum_passes_only_as_unverified(self, monkeypatch):
+        A = make_set(P22, [(0, 0), (0, 1)])
+        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
+        _, trace = complement_from_spectrum(A, A)
+        assert trace.witnesses["verified"] is False
 
 
 class TestNonspectralSizeWitness:

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectile import (
+    CapacityError,
     ClassRep,
     Element,
     GroupParams,
@@ -16,7 +19,7 @@ from spectile import (
     scale_translate,
     valuation,
 )
-from spectile.group import group_tables
+from spectile.group import DEFAULT_ORDER_LIMIT, _EAGER_TABLE_LIMIT, group_tables
 
 from conftest import SMALL_PARAMS, make_set
 
@@ -36,11 +39,18 @@ class TestGroupParams:
             GroupParams(3, 0)
 
     def test_rejects_order_above_limit(self):
-        # 2^34 and 65537^2 both exceed the 2^32 order cap
+        # 2^34 and 65537^2 both exceed the 2^24 order cap
         with pytest.raises(ParameterError):
             GroupParams(2, 33)
         with pytest.raises(ParameterError):
             GroupParams(65537, 1)
+
+    def test_order_limit_boundary(self):
+        assert GroupParams(2, 23).order == DEFAULT_ORDER_LIMIT
+        with pytest.raises(ParameterError):
+            GroupParams(2, 24)
+        with pytest.raises(ParameterError):
+            GroupParams(4099, 1)  # 4099^2 just above 2^24
 
     def test_order_and_pn(self):
         q = GroupParams(3, 2)
@@ -245,3 +255,21 @@ class TestGroupTables:
         for a in q.units():
             expected = {e.scale(a).index for e in A.elements()}
             assert set(GroupSet(q, t.scale_mask(A.mask, a)).indices()) == expected
+
+    def test_profile_key_refused_above_fiber_limit(self):
+        # only sweeps use the fiber tables; single-set paths count residues
+        with pytest.raises(CapacityError):
+            group_tables(GroupParams(2, 12)).profile_key(1)
+
+    @pytest.mark.parametrize("p, n", [(3, 7), (67, 1)])
+    def test_translate_mask_above_eager_limit(self, p, n):
+        # the per-call rotation masks, with p blocks replicated by doubling
+        q = GroupParams(p, n)
+        assert q.order > _EAGER_TABLE_LIMIT
+        t = group_tables(q)
+        rng = random.Random(7)
+        A = GroupSet.from_indices(q, rng.sample(range(q.order), 40))
+        for gi in rng.sample(range(q.order), 25):
+            g = q.element_from_index(gi)
+            expected = GroupSet.from_elements(q, (e + g for e in A.elements()))
+            assert GroupSet(q, t.translate_mask(A.mask, gi)) == expected

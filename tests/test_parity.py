@@ -1,0 +1,102 @@
+"""The linear single-set paths agree with direct reference computations.
+
+Seeded random pairs on every small group: the pair checks against their
+definitions through difference sets and is_zero_equidist, the zero set
+against exact cyclotomic evaluation, and the bitmap scan against
+from_indices.
+"""
+
+import random
+
+from spectile import (
+    ClassRep,
+    GroupSet,
+    char_value_exact,
+    difference_set,
+    find_complement_bruteforce,
+    find_spectrum_bruteforce,
+    is_zero_equidist,
+    spectral_pair_violation,
+    tiling_pair_violation,
+    zero_set,
+)
+
+SEED = 2021
+TRIALS = 60
+
+
+def random_set(rng, q, k):
+    return GroupSet.from_indices(q, rng.sample(range(q.order), k))
+
+
+def lowest_shared_difference(A, T):
+    q = A.params
+    shared = (difference_set(A).mask & difference_set(T).mask) >> 1
+    return q.element_from_index((shared & -shared).bit_length()) if shared else None
+
+
+def first_spectral_failure(A, B):
+    elems = B.elements()
+    for i, u in enumerate(elems):
+        for v in elems[i + 1:]:
+            if not is_zero_equidist(A, v - u):
+                return v - u
+    return None
+
+
+def test_tiling_witness_is_lowest_shared_difference(small_params):
+    q = small_params
+    rng = random.Random(SEED)
+    divisors = [k for k in range(1, q.order + 1) if q.order % k == 0]
+    outcomes = set()
+    for _ in range(TRIALS):
+        k = rng.choice(divisors)
+        A = random_set(rng, q, k)
+        T = find_complement_bruteforce(A) if rng.random() < 0.5 else None
+        if T is None:
+            T = random_set(rng, q, q.order // k)
+        expected = lowest_shared_difference(A, T)
+        assert tiling_pair_violation(A, T) == expected
+        assert tiling_pair_violation(T, A) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_spectral_witness_is_first_failing_pair(small_params):
+    q = small_params
+    rng = random.Random(SEED)
+    outcomes = set()
+    for _ in range(TRIALS):
+        k = rng.randint(1, q.order)
+        A = random_set(rng, q, k)
+        B = find_spectrum_bruteforce(A) if rng.random() < 0.5 else None
+        if B is None:
+            B = random_set(rng, q, k)
+        expected = first_spectral_failure(A, B)
+        assert spectral_pair_violation(A, B) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_zero_set_matches_exact_evaluation(small_params):
+    q = small_params
+    rng = random.Random(SEED)
+    reps = [ClassRep.unit_axis()] + [
+        ClassRep.mixed(c, i) for i in range(q.n) for c in range(q.p)
+    ]
+    for _ in range(TRIALS):
+        A = GroupSet(q, rng.getrandbits(q.order))
+        profile = zero_set(A)
+        for rep in reps:
+            assert (rep in profile.reps) == char_value_exact(A, rep.element(q)).is_zero()
+
+
+def test_indices_round_trip(small_params):
+    q = small_params
+    rng = random.Random(SEED)
+    for _ in range(TRIALS):
+        A = GroupSet(q, rng.getrandbits(q.order))
+        idxs = A.indices()
+        assert idxs == [i for i in range(q.order) if A.mask >> i & 1]
+        assert GroupSet.from_indices(q, idxs) == A
+        assert GroupSet.from_elements(q, A.elements()) == A
