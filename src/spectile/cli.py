@@ -185,6 +185,11 @@ def _cmd_enumerate(args) -> int:
             print(f"  {mm.kind} size={mm.size}: {mm.detail}")
         if args.verbose:
             print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
+            for name, memo in report.stats.items():
+                print(
+                    f"{name}-memo: lookups={memo['lookups']} misses={memo['misses']}",
+                    file=sys.stderr,
+                )
     return EXIT_OK if not report.mismatches else EXIT_FAILURE
 
 
@@ -265,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shards", type=int, default=1, help="number of work shards")
     sp.add_argument("--out", default=None, help="write the canonical JSON report here")
     sp.add_argument("--json", action="store_true", help="print the canonical JSON report")
-    sp.add_argument("--verbose", action="store_true", help="print wall time to stderr")
+    sp.add_argument(
+        "--verbose", action="store_true", help="print wall time and memo counts to stderr"
+    )
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("oracle-compare", help="counting zero test vs exact cyclotomic evaluation")

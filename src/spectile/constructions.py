@@ -77,17 +77,19 @@ def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
     return out
 
 
-def _spectral_check(A: GroupSet, B: GroupSet) -> bool | None:
+def _spectral_check(A: GroupSet, B: GroupSet, profile: ZeroProfile) -> bool | None:
     """verify_spectral_pair(A, B), or None when |B|^2 exceeds the budget."""
     if B.cardinality**2 > _VERIFY_DIFF_BUDGET:
         return None
-    return verify_spectral_pair(A, B)
+    return verify_spectral_pair(A, B, profile=profile)
 
 
-def _verify_spectrum(A: GroupSet, B: GroupSet, context: str, witnesses: dict) -> dict:
+def _verify_spectrum(
+    A: GroupSet, B: GroupSet, profile: ZeroProfile, context: str, witnesses: dict
+) -> dict:
     """Check the constructed spectrum; returns the witnesses, marked
     unverified when the check was over budget."""
-    ok = _spectral_check(A, B)
+    ok = _spectral_check(A, B, profile)
     if ok is None:
         witnesses["verified"] = False
     elif not ok:
@@ -110,13 +112,17 @@ def _verify_complement(A: GroupSet, T: GroupSet, context: str) -> None:
 # Tile -> spectrum
 
 
-def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet, CaseTrace]:
+def spectrum_from_tile(
+    A: GroupSet, T: GroupSet | None = None, *, profile: ZeroProfile | None = None
+) -> tuple[GroupSet, CaseTrace]:
     """Build a spectrum B for a tile A, with |B| = |A| and all nonzero
     differences of B in the zero set of A.
 
     A supplied complement T is verified and then drives the case split when
     |A| = p^t has only t-1 axis-zero levels; without one, a complement is
-    searched when the group order is within the oracle cap.
+    searched when the group order is within the oracle cap.  profile is
+    zero_set(A) when the caller already has it; otherwise it is computed
+    once here and shared by the case split and the verification.
     """
     q = A.params
     k = A.cardinality
@@ -137,7 +143,8 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
             f"|A| = {k} does not divide the group order; A cannot be a tile"
         )
     t_exp = sc.s
-    profile = zero_set(A)
+    if profile is None:
+        profile = zero_set(A)
 
     if t_exp == 1:
         # |A| = p: the multiples of any zero form a spectrum.
@@ -146,14 +153,14 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
         z = q.element_from_index(min(_lowest_index(q, r) for r in profile.reps))
         B = GroupSet.from_elements(q, (z.scale(r) for r in range(q.p)))
         return B, CaseTrace(
-            "T2S-p", "Main", _verify_spectrum(A, B, "T2S-p", {"zero": [z.x, z.y]})
+            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [z.x, z.y]})
         )
 
     levels_I = sorted(profile.I)
     if len(levels_I) == t_exp:
         B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
         return B, CaseTrace(
-            "T2S-pt", "IFull", _verify_spectrum(A, B, "T2S-pt", {"I": levels_I})
+            "T2S-pt", "IFull", _verify_spectrum(A, B, profile, "T2S-pt", {"I": levels_I})
         )
     if len(levels_I) != t_exp - 1:
         raise InvalidInputError(
@@ -186,7 +193,7 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
         )
         witnesses = {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
         return B, CaseTrace(
-            "T2S-pt", "Case2", _verify_spectrum(A, B, "T2S-pt Case2", witnesses)
+            "T2S-pt", "Case2", _verify_spectrum(A, B, profile, "T2S-pt Case2", witnesses)
         )
     if case == "Case3":
         B = GroupSet.from_elements(
@@ -194,7 +201,7 @@ def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet
         )
         witnesses = {"I": levels_I, "J": levels_J}
         return B, CaseTrace(
-            "T2S-pt", "Case3", _verify_spectrum(A, B, "T2S-pt Case3", witnesses)
+            "T2S-pt", "Case3", _verify_spectrum(A, B, profile, "T2S-pt Case3", witnesses)
         )
     if case == "Case1":
         raise ContradictionError(
@@ -277,29 +284,37 @@ def _tile_spectrum_case(
 # Spectral set -> tiling complement
 
 
-def complement_from_spectrum(A: GroupSet, B: GroupSet | None = None) -> tuple[GroupSet, CaseTrace]:
+def complement_from_spectrum(
+    A: GroupSet, B: GroupSet | None = None, *, profile: ZeroProfile | None = None
+) -> tuple[GroupSet, CaseTrace]:
     """Build a tiling complement T for a spectral set A, |A| * |T| = |G|.
 
     A supplied spectrum B is verified and consulted where the case split
     needs its axis-zero levels or a difference witness; without one, a
     spectrum is searched when the group order is within the oracle cap.
     When B is too large to verify, the trace records "verified": False.
+    profile is zero_set(A) when the caller already has it; otherwise it is
+    computed at most once here.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")
     verified = True
     if B is not None:
         _require_same_params(A.params, B.params)
-        verified = _spectral_check(A, B)
+        if profile is None:
+            profile = zero_set(A)
+        verified = _spectral_check(A, B, profile)
         if verified is False:
             raise InvalidInputError("supplied spectrum fails the spectral-pair check")
-    T, trace = _build_complement(A, B)
+    T, trace = _build_complement(A, B, profile)
     if verified is None:
         trace.witnesses["verified"] = False
     return T, trace
 
 
-def _build_complement(A: GroupSet, B: GroupSet | None) -> tuple[GroupSet, CaseTrace]:
+def _build_complement(
+    A: GroupSet, B: GroupSet | None, profile: ZeroProfile | None
+) -> tuple[GroupSet, CaseTrace]:
     # complement_from_spectrum once the input checks have passed
     q = A.params
     k = A.cardinality
@@ -339,7 +354,8 @@ def _build_complement(A: GroupSet, B: GroupSet | None) -> tuple[GroupSet, CaseTr
         )
 
     s = sc.s
-    profile = zero_set(A)
+    if profile is None:
+        profile = zero_set(A)
 
     if s == 1:
         T, trace = _complement_size_p(q, profile)

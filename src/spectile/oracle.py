@@ -1,19 +1,20 @@
 """Ground-truth searches and the exhaustive tile/spectral cross-check.
 
 The verifiers are direct restatements of the pair conditions.  The
-searches are deterministic brute force: a spectrum is a size-|A| clique
-containing 0 in the graph whose edges are differences lying in the zero
-set, found in lexicographic branch order; a tiling complement is an exact
-cover by translates, normalized so the cover always uses the translate by
-0, with first-fail cell selection and translate columns tried in
-ascending index order.
+searches share one deterministic brute-force kernel, the first clique
+through 0 in lexicographic branch order: a spectrum is a size-|A| clique
+in the graph whose edges are differences lying in the zero set, and a
+tiling complement is a size-|G|/|A| clique in the graph whose edges are
+differences outside A - A (A + T = G exactly when |A||T| = |G| and the
+two difference sets meet only at 0).
 
 enumerate_and_check sweeps a whole group (optionally restricted to given
 cardinalities), decides tile and spectral for every subset by the oracles,
 cross-checks the constructive algorithms on every positive, and reports
-any disagreement.  Work is split into shards whose merge is independent
-of the shard count, so reports are byte-identical however the sweep is
-partitioned.
+any disagreement.  Both verdicts are memoized: the spectral one on the
+zero profile and |A|, the tile one on A - A and |A|.  Work is split into
+shards whose merge is independent of the shard count, so reports are
+byte-identical however the sweep is partitioned.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
 
-from .charsum import _coordinates, profile_from_key, zero_set
+from .charsum import ZeroProfile, _coordinates, profile_from_key, zero_set
 from .errors import CapacityError, ParameterError
 from .group import (
     Element,
@@ -47,13 +48,17 @@ ENUM_FULL_LIMIT = 27
 # ... and size-filtered sweeps up to this order, within a subset budget.
 ENUM_FILTERED_LIMIT = 32
 ENUM_SUBSET_BUDGET = 2**27
+# More shards than this are refused before any work list is built.
+ENUM_SHARD_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
 # Pair verifiers
 
 
-def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
+def spectral_pair_violation(
+    A: GroupSet, B: GroupSet, *, profile: ZeroProfile | None = None
+) -> Element | str | None:
     """None if (A, B) is a spectral pair, else the first offending difference.
 
     Scans pairs u < v of B in ascending index order and returns v - u for
@@ -61,13 +66,14 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     under negation, so one direction decides both); returns a message
     string when the sizes already disagree.  Each difference is tested by
     its class id against the zero profile, so no group-sized table is built.
+    A caller that already holds zero_set(A) passes it as profile.
     """
     _require_same_params(A.params, B.params)
     if A.cardinality != B.cardinality:
         return f"|A| = {A.cardinality} but |B| = {B.cardinality}"
     q = A.params
     p, pn = q.p, q.pn
-    key = zero_set(A).key()
+    key = (zero_set(A) if profile is None else profile).key()
     pairs = _coordinates(B)
     for i, (ux, uy) in enumerate(pairs):
         for vx, vy in pairs[i + 1:]:
@@ -77,9 +83,11 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     return None
 
 
-def verify_spectral_pair(A: GroupSet, B: GroupSet) -> bool:
+def verify_spectral_pair(
+    A: GroupSet, B: GroupSet, *, profile: ZeroProfile | None = None
+) -> bool:
     """True iff |A| = |B| and every nonzero difference of B annihilates A."""
-    return spectral_pair_violation(A, B) is None
+    return spectral_pair_violation(A, B, profile=profile) is None
 
 
 def tiling_pair_violation(A: GroupSet, T: GroupSet) -> Element | str | None:
@@ -165,67 +173,6 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
     return None
 
 
-def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
-    """Translation indices g with disjoint translates mask+g covering the group.
-
-    The translate by 0 is always used (any tiling complement can be
-    translated to contain 0).  Cell selection is first-fail: the uncovered
-    index with the fewest usable translates, lowest index on ties.
-    """
-    k = mask.bit_count()
-    if k == 0 or t.order % k:
-        return None
-    full = t.full_mask
-    if mask == full:
-        return [0]
-    idxs = []
-    m = mask
-    while m:
-        b = m & -m
-        idxs.append(b.bit_length() - 1)
-        m ^= b
-    translate = t.translate_mask
-    sub = t.sub_index
-    trans_cache: dict[int, int] = {0: mask}
-    picks = [0]
-
-    def dfs(cover: int) -> bool:
-        if cover == full:
-            return True
-        best: list[int] | None = None
-        m = full & ~cover
-        while m:
-            b = m & -m
-            m ^= b
-            c = b.bit_length() - 1
-            cands = []
-            for a in idxs:
-                g = sub(c, a)
-                ag = trans_cache.get(g)
-                if ag is None:
-                    ag = translate(mask, g)
-                    trans_cache[g] = ag
-                if not ag & cover:
-                    cands.append(g)
-            if not cands:
-                return False
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) == 1:
-                    break
-        best.sort()
-        for g in best:
-            picks.append(g)
-            if dfs(cover | trans_cache[g]):
-                return True
-            picks.pop()
-        return False
-
-    if dfs(mask):
-        return sorted(picks)
-    return None
-
-
 def _check_oracle_cap(params: GroupParams) -> None:
     if params.order > ORACLE_ORDER_LIMIT:
         raise CapacityError(
@@ -251,14 +198,21 @@ def find_spectrum_bruteforce(A: GroupSet) -> GroupSet | None:
 
 
 def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
-    """Some T with verify_tiling_pair(A, T), or None; deterministic first solution."""
+    """Some T with verify_tiling_pair(A, T), or None if none exists.
+
+    The returned complement always contains (0, 0) and is the
+    lexicographically first such set: a size-|G|/|A| clique avoiding the
+    differences of A.
+    """
     _check_oracle_cap(A.params)
-    if A.cardinality == 0:
+    k = A.cardinality
+    t = group_tables(A.params)
+    if k == 0 or t.order % k:
         return None
-    cover = _find_cover(group_tables(A.params), A.mask)
-    if cover is None:
+    clique = _find_clique(t, t.full_mask & ~difference_set(A).mask, t.order // k)
+    if clique is None:
         return None
-    return GroupSet.from_indices(A.params, cover)
+    return GroupSet.from_indices(A.params, clique)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +259,10 @@ class Mismatch:
 class EnumerationReport:
     """Outcome of an exhaustive sweep; mismatches must be empty.
 
-    wall_time is informational and excluded from the canonical
+    wall_time and stats are informational and excluded from the canonical
     serialization so reports compare byte-for-byte across shard counts.
+    stats maps each verdict memo ("spectral", "tile") to its lookups and
+    misses, summed over shards.
     """
 
     params: GroupParams
@@ -317,6 +273,7 @@ class EnumerationReport:
     spectral: int
     mismatches: list[Mismatch]
     wall_time: float
+    stats: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def canonical_dict(self) -> dict:
         from .setio import serialize_set
@@ -361,53 +318,64 @@ def _run_shard(args: tuple) -> tuple:
     witness_sizes = frozenset(
         k for k in range(1, order + 1) if classify_size(k, params).kind == "mixed"
     )
-    divpow_cache: dict[int, int] = {}
-    zmask_cache: dict[int, int] = {}
-    smemo: dict[int, int] = {}  # (pkey, k) packed -> spectrum mask, 0 if none
+    # pkey -> (profile, certified divisor p^s, zero-set bitmap)
+    profiles: dict[int, tuple[ZeroProfile, int, int]] = {}
+    # Both memos map (key, k), packed as key * (order + 1) + k (injective
+    # since k <= order, and cheaper than a tuple in the hot loop), to the
+    # partner mask, 0 if there is none.  A miss adds one entry, so a memo's
+    # misses are its length.
+    smemo: dict[int, int] = {}  # key: zero profile
+    tmemo: dict[int, int] = {}  # key: difference set
 
     examined = 0
     orbits = 0
+    empties = 0
+    tile_lookups = 0
     tiles = 0
     spectral = 0
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
 
+    def clique_mask(edges: int, size: int) -> int:
+        clique = _find_clique(t, edges, size)
+        return 0 if clique is None else sum(bits[v] for v in clique)
+
     def process(mask: int, k: int) -> None:
-        nonlocal examined, orbits, tiles, spectral
+        nonlocal examined, orbits, empties, tile_lookups, tiles, spectral
         examined += 1
         if use_canonical:
             if not _is_canonical(t, mask):
                 return
             orbits += 1
         if k == 0:
+            empties += 1
             return
         pkey = profile_key(mask)
-        dp = divpow_cache.get(pkey)
-        if dp is None:
-            dp = p ** divisibility_exponent(profile_from_key(params, pkey))
-            divpow_cache[pkey] = dp
+        entry = profiles.get(pkey)
+        if entry is None:
+            profile = profile_from_key(params, pkey)
+            entry = profiles[pkey] = (
+                profile, p ** divisibility_exponent(profile), t.zero_mask_for_key(pkey)
+            )
+        profile, dp, zmask = entry
         if k % dp:
             mismatches.append(
                 Mismatch("divisibility", mask, k, f"certified divisor {dp} does not divide {k}")
             )
-        # k <= order, so this packs (pkey, k) injectively into one int
-        # without paying for a tuple in the hot loop
         skey = pkey * (order + 1) + k
         bmask = smemo.get(skey, -1)
         if bmask == -1:
-            zm = zmask_cache.get(pkey)
-            if zm is None:
-                zm = t.zero_mask_for_key(pkey)
-                zmask_cache[pkey] = zm
-            clique = _find_clique(t, zm, k)
-            bmask = 0
-            if clique is not None:
-                for v in clique:
-                    bmask |= bits[v]
-            smemo[skey] = bmask
+            bmask = smemo[skey] = clique_mask(zmask, k)
+        tmask = 0
+        if order % k == 0:
+            tile_lookups += 1
+            dmask = difference_set(GroupSet(params, mask)).mask
+            tkey = dmask * (order + 1) + k
+            tmask = tmemo.get(tkey, -1)
+            if tmask == -1:
+                tmask = tmemo[tkey] = clique_mask(full & ~dmask, order // k)
         sp = bmask != 0
-        cover = _find_cover(t, mask) if order % k == 0 else None
-        tl = cover is not None
+        tl = tmask != 0
         if tl:
             tiles += 1
         if sp:
@@ -426,9 +394,9 @@ def _run_shard(args: tuple) -> tuple:
             )
         if tl:
             A = GroupSet(params, mask)
-            T = GroupSet.from_indices(params, cover)
+            T = GroupSet(params, tmask)
             try:
-                constructions.spectrum_from_tile(A, T)
+                constructions.spectrum_from_tile(A, T, profile=profile)
             except Exception as exc:  # any failure here is a finding
                 mismatches.append(
                     Mismatch(
@@ -440,7 +408,7 @@ def _run_shard(args: tuple) -> tuple:
             A = GroupSet(params, mask)
             B = GroupSet(params, bmask)
             try:
-                T2, _ = constructions.complement_from_spectrum(A, B)
+                T2, _ = constructions.complement_from_spectrum(A, B, profile=profile)
             except Exception as exc:
                 mismatches.append(
                     Mismatch(
@@ -468,7 +436,11 @@ def _run_shard(args: tuple) -> tuple:
                     mask |= bits[i]
                 process(mask, k)
 
-    return (examined, orbits if use_canonical else None, tiles, spectral, mismatches)
+    spectral_lookups = (orbits if use_canonical else examined) - empties
+    memo_stats = (spectral_lookups, len(smemo), tile_lookups, len(tmemo))
+    return (
+        examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats
+    )
 
 
 def enumerate_and_check(
@@ -486,11 +458,14 @@ def enumerate_and_check(
     the zero profile, the cardinality obstruction, the pigeonhole bound,
     and a full construction round trip on every tile and every spectral
     set.  Counts merge by addition and mismatches sort by (mask, kind), so
-    the report does not depend on the shard decomposition.
+    the report does not depend on the shard decomposition.  More than
+    ENUM_SHARD_LIMIT shards are refused with CapacityError.
     """
     start = time.perf_counter()
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
+    if shards > ENUM_SHARD_LIMIT:
+        raise CapacityError(f"shards capped at {ENUM_SHARD_LIMIT}; got {shards}")
     order = params.order
     if size_filter is None:
         sizes = None
@@ -531,6 +506,7 @@ def enumerate_and_check(
     for r in results:
         mismatches.extend(r[4])
     mismatches.sort(key=lambda mm: (mm.mask, mm.kind))
+    memo = [sum(col) for col in zip(*(r[5] for r in results))]
     if examined != total:
         raise RuntimeError(f"shard accounting error: {examined} != {total}")
     return EnumerationReport(
@@ -542,4 +518,8 @@ def enumerate_and_check(
         spectral=spectral,
         mismatches=mismatches,
         wall_time=time.perf_counter() - start,
+        stats={
+            "spectral": {"lookups": memo[0], "misses": memo[1]},
+            "tile": {"lookups": memo[2], "misses": memo[3]},
+        },
     )

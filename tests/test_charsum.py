@@ -141,6 +141,18 @@ class TestZeroSet:
             assert profile_from_key(q, key).reps == prof.reps
             assert prof.key() == key
 
+    @pytest.mark.parametrize(
+        "q",
+        [GroupParams(2, 1), GroupParams(3, 1), GroupParams(2, 2), GroupParams(2, 3)],
+        ids=lambda q: f"p{q.p}n{q.n}",
+    )
+    def test_profile_key_matches_zero_set_on_every_mask(self, q):
+        # the sweep hands profile_from_key(profile_key(mask)) to the
+        # constructions in place of zero_set, so the two must agree everywhere
+        t = group_tables(q)
+        for mask in range(1 << q.order):
+            assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
+
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_unit_orbit_closure(self, data):

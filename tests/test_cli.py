@@ -207,10 +207,27 @@ class TestEnumerateCommand:
     def test_capacity_exits_3(self):
         assert main(["enumerate", "--p", "2", "--n", "4"]) == 3
 
+    def test_shard_count_above_limit_exits_3(self, monkeypatch, capsys):
+        import spectile.oracle as oracle_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", no_pool)
+        assert main(["enumerate", "--p", "2", "--n", "1", "--shards", str(10**12)]) == 3
+        assert "shards" in capsys.readouterr().err
+
+    def test_verbose_prints_memo_counts(self, capsys):
+        assert main(["enumerate", "--p", "2", "--n", "2", "--verbose"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("wall-time: ")
+        assert err[1].startswith("spectral-memo: lookups=255 misses=")
+        assert err[2].startswith("tile-memo: lookups=107 misses=")
+
     def test_broken_construction_keeps_exception_type(self, monkeypatch, capsys):
         import spectile.constructions as cons
 
-        def broken(A, T=None):
+        def broken(A, T=None, **_):
             raise KeyError("boom")
 
         monkeypatch.setattr(cons, "spectrum_from_tile", broken)

@@ -334,3 +334,101 @@ class TestConstructionRoundTrips:
             za = zero_set(A)
             zt = zero_set(T2)
             assert len(za.reps | zt.reps) == 1 + q.p * q.n
+
+
+def _record_branches(monkeypatch) -> list[tuple[str, str]]:
+    """Wrap both public constructions where the sweep looks them up; the
+    returned list collects the (theorem, case) of every call."""
+    fired = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            partner, trace = fn(*args, **kwargs)
+            fired.append((trace.theorem, trace.case))
+            return partner, trace
+
+        return wrapper
+
+    for name in ("spectrum_from_tile", "complement_from_spectrum"):
+        monkeypatch.setattr(constructions, name, recording(getattr(constructions, name)))
+    return fired
+
+
+class TestBranchCoverage:
+    GENUINE_BRANCHES = {
+        ("T2S-trivial", "Trivial"),
+        ("T2S-p", "Main"),
+        ("T2S-pt", "IFull"),
+        ("T2S-pt", "Case2"),
+        ("T2S-pt", "Case3"),
+        ("S2T-trivial", "Trivial"),
+        ("S2T-big", "Main"),
+        ("S2T-p", "Case1"),
+        ("S2T-p", "Case2"),
+        ("S2T-p", "Case3"),
+        ("S2T-ps", "Case1"),
+        ("S2T-ps", "Case2"),
+        ("S2T-ps", "Case3"),
+    }
+
+    def test_small_sweeps_fire_every_genuine_branch(self, monkeypatch):
+        from spectile import enumerate_and_check
+
+        fired = _record_branches(monkeypatch)
+        # Z_2 x Z_4 has the p^2-sized branches, Z_3 x Z_3 the size-p Case3
+        for q in (P22, GroupParams(3, 1)):
+            report = enumerate_and_check(q, shards=1)
+            assert report.mismatches == []
+        assert set(fired) == self.GENUINE_BRANCHES
+
+
+class TestProfileReuse:
+    @staticmethod
+    def _count_zero_sets(monkeypatch):
+        from spectile import oracle
+
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return zero_set(A)
+
+        monkeypatch.setattr(constructions, "zero_set", counting)
+        monkeypatch.setattr(oracle, "zero_set", counting)
+        return calls
+
+    def test_sweep_profiles_only_partners(self, monkeypatch):
+        # the sweep hands each subset's profile to both constructions, so
+        # zero_set runs only on the partner a case split consults
+        from spectile import enumerate_and_check
+
+        calls = self._count_zero_sets(monkeypatch)
+        fired = _record_branches(monkeypatch)
+        assert enumerate_and_check(P22, shards=1).mismatches == []
+        partner_cases = {
+            ("T2S-pt", "Case2"), ("T2S-pt", "Case3"), ("S2T-ps", "Case2"), ("S2T-ps", "Case3")
+        }
+        expected = sum(f in partner_cases for f in fired)
+        assert expected > 0
+        assert len(calls) == expected
+
+    def test_spectrum_from_tile_profiles_a_once(self, monkeypatch):
+        A = make_set(P22, [(0, 0), (0, 1)])
+        profile = zero_set(A)
+        calls = self._count_zero_sets(monkeypatch)
+        B, trace = spectrum_from_tile(A)
+        assert calls == [A]
+        calls.clear()
+        assert spectrum_from_tile(A, profile=profile) == (B, trace)
+        assert calls == []
+
+    def test_complement_from_spectrum_profiles_a_once(self, monkeypatch):
+        A = make_set(P22, [(0, 0), (0, 1)])
+        B = make_set(P22, [(0, 0), (0, 2)])
+        profile = zero_set(A)
+        calls = self._count_zero_sets(monkeypatch)
+        T, trace = complement_from_spectrum(A, B)
+        assert calls == [A]
+        calls.clear()
+        assert complement_from_spectrum(A, B, profile=profile) == (T, trace)
+        assert calls == []

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from spectile import (
     verify_tiling_pair,
     zero_set,
 )
-from spectile.oracle import EnumerationReport, Mismatch
+from spectile import oracle
+from spectile.oracle import ENUM_SHARD_LIMIT, EnumerationReport, Mismatch
 
 from conftest import SMALL_PARAMS, make_set
 
@@ -94,6 +97,24 @@ class TestBruteForceSearches:
 
     def test_find_complement_full_group(self):
         assert find_complement_bruteforce(GroupSet.full(P22)) == GroupSet.from_indices(P22, [0])
+
+    @pytest.mark.parametrize(
+        "q", [GroupParams(2, 1), GroupParams(3, 1), P22], ids=lambda q: f"p{q.p}n{q.n}"
+    )
+    def test_complement_is_lexicographically_first(self, q):
+        # independent scan: sets T containing 0 in combinations order, which
+        # is lexicographic on the sorted index tuples
+        for mask in range(1 << q.order):
+            A = GroupSet(q, mask)
+            expected = None
+            if A.cardinality and q.order % A.cardinality == 0:
+                k = q.order // A.cardinality
+                for rest in combinations(range(1, q.order), k - 1):
+                    T = GroupSet.from_indices(q, (0,) + rest)
+                    if verify_tiling_pair(A, T):
+                        expected = T
+                        break
+            assert find_complement_bruteforce(A) == expected, mask
 
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)
@@ -233,6 +254,42 @@ class TestEnumerate:
     def test_filtered_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_and_check(GroupParams(2, 5), size_filter=[2])  # order 64 > 32
+
+    def test_memo_stats(self):
+        report = enumerate_and_check(GroupParams(5, 1), size_filter=[5], shards=1)
+        assert report.stats == {
+            "spectral": {"lookups": 53130, "misses": 28},
+            "tile": {"lookups": 53130, "misses": 624},
+        }
+        assert report.tiles == report.spectral == 17130
+        assert report.mismatches == []
+        payload = report.canonical_dict()
+        assert set(payload) == {
+            "p", "n", "size_filter", "subsets_examined", "orbits_examined",
+            "tiles", "spectral", "mismatches",
+        }
+        assert "lookups" not in report.canonical_json()
+
+    def test_memo_lookups_sum_over_shards(self):
+        # each subset is looked up in exactly one shard; misses may repeat
+        r1 = enumerate_and_check(P22, shards=1)
+        r3 = enumerate_and_check(P22, shards=3)
+        for memo in ("spectral", "tile"):
+            assert r1.stats[memo]["lookups"] == r3.stats[memo]["lookups"]
+            assert r1.stats[memo]["misses"] <= r3.stats[memo]["misses"]
+        # nonempty subsets, and those whose size divides the order
+        assert r1.stats["spectral"]["lookups"] == 255
+        assert r1.stats["tile"]["lookups"] == 8 + 70 + 28 + 1
+
+    def test_shard_count_capacity(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", no_pool)
+        with pytest.raises(CapacityError):
+            enumerate_and_check(P22, shards=ENUM_SHARD_LIMIT + 1)
+        with pytest.raises(CapacityError):
+            enumerate_and_check(P22, shards=10**12)
 
     def test_wall_time_not_in_canonical_report(self):
         report = enumerate_and_check(GroupParams(2, 1))
