@@ -23,9 +23,9 @@ from .errors import (
 from .group import ClassRep, GroupParams, GroupSet, _require_same_params, group_tables
 from .oracle import (
     ORACLE_ORDER_LIMIT,
+    _spectral_violation,
     find_complement_bruteforce,
     find_spectrum_bruteforce,
-    verify_spectral_pair,
     verify_tiling_pair,
 )
 from .structure import classify_size
@@ -78,10 +78,11 @@ def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
 
 
 def _spectral_check(A: GroupSet, B: GroupSet, profile: ZeroProfile) -> bool | None:
-    """verify_spectral_pair(A, B), or None when |B|^2 exceeds the budget."""
+    """verify_spectral_pair(A, B) against profile = zero_set(A), or None
+    when |B|^2 exceeds the budget."""
     if B.cardinality**2 > _VERIFY_DIFF_BUDGET:
         return None
-    return verify_spectral_pair(A, B, profile=profile)
+    return _spectral_violation(A, B, profile) is None
 
 
 def _verify_spectrum(
@@ -120,9 +121,10 @@ def spectrum_from_tile(
 
     A supplied complement T is verified and then drives the case split when
     |A| = p^t has only t-1 axis-zero levels; without one, a complement is
-    searched when the group order is within the oracle cap.  profile is
-    zero_set(A) when the caller already has it; otherwise it is computed
-    once here and shared by the case split and the verification.
+    searched when the group order is within the oracle cap.  A caller that
+    already holds zero_set(A) passes it as profile; it is trusted, not
+    recomputed.  Otherwise it is computed once here and shared by the case
+    split and the verification.
     """
     q = A.params
     k = A.cardinality
@@ -293,8 +295,8 @@ def complement_from_spectrum(
     needs its axis-zero levels or a difference witness; without one, a
     spectrum is searched when the group order is within the oracle cap.
     When B is too large to verify, the trace records "verified": False.
-    profile is zero_set(A) when the caller already has it; otherwise it is
-    computed at most once here.
+    A caller that already holds zero_set(A) passes it as profile; it is
+    trusted, not recomputed.  Otherwise it is computed at most once here.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")

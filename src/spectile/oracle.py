@@ -1,12 +1,12 @@
 """Ground-truth searches and the exhaustive tile/spectral cross-check.
 
 The verifiers are direct restatements of the pair conditions.  The
-searches share one deterministic brute-force kernel, the first clique
-through 0 in lexicographic branch order: a spectrum is a size-|A| clique
-in the graph whose edges are differences lying in the zero set, and a
-tiling complement is a size-|G|/|A| clique in the graph whose edges are
-differences outside A - A (A + T = G exactly when |A||T| = |G| and the
-two difference sets meet only at 0).
+searches are deterministic brute force: a spectrum is a size-|A| clique
+containing 0 in the graph whose edges are differences lying in the zero
+set, found in lexicographic branch order; a tiling complement is an exact
+cover by translates, normalized so the cover always uses the translate by
+0, with first-fail cell selection and translate columns tried in
+ascending index order.
 
 enumerate_and_check sweeps a whole group (optionally restricted to given
 cardinalities), decides tile and spectral for every subset by the oracles,
@@ -56,9 +56,7 @@ ENUM_SHARD_LIMIT = 1024
 # Pair verifiers
 
 
-def spectral_pair_violation(
-    A: GroupSet, B: GroupSet, *, profile: ZeroProfile | None = None
-) -> Element | str | None:
+def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     """None if (A, B) is a spectral pair, else the first offending difference.
 
     Scans pairs u < v of B in ascending index order and returns v - u for
@@ -66,8 +64,14 @@ def spectral_pair_violation(
     under negation, so one direction decides both); returns a message
     string when the sizes already disagree.  Each difference is tested by
     its class id against the zero profile, so no group-sized table is built.
-    A caller that already holds zero_set(A) passes it as profile.
     """
+    return _spectral_violation(A, B, None)
+
+
+def _spectral_violation(
+    A: GroupSet, B: GroupSet, profile: ZeroProfile | None
+) -> Element | str | None:
+    """spectral_pair_violation for a caller that already holds zero_set(A)."""
     _require_same_params(A.params, B.params)
     if A.cardinality != B.cardinality:
         return f"|A| = {A.cardinality} but |B| = {B.cardinality}"
@@ -83,11 +87,9 @@ def spectral_pair_violation(
     return None
 
 
-def verify_spectral_pair(
-    A: GroupSet, B: GroupSet, *, profile: ZeroProfile | None = None
-) -> bool:
+def verify_spectral_pair(A: GroupSet, B: GroupSet) -> bool:
     """True iff |A| = |B| and every nonzero difference of B annihilates A."""
-    return spectral_pair_violation(A, B, profile=profile) is None
+    return spectral_pair_violation(A, B) is None
 
 
 def tiling_pair_violation(A: GroupSet, T: GroupSet) -> Element | str | None:
@@ -173,6 +175,67 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
     return None
 
 
+def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
+    """Translation indices g with disjoint translates mask+g covering the group.
+
+    The translate by 0 is always used (any tiling complement can be
+    translated to contain 0).  Cell selection is first-fail: the uncovered
+    index with the fewest usable translates, lowest index on ties.
+    """
+    k = mask.bit_count()
+    if k == 0 or t.order % k:
+        return None
+    full = t.full_mask
+    if mask == full:
+        return [0]
+    idxs = []
+    m = mask
+    while m:
+        b = m & -m
+        idxs.append(b.bit_length() - 1)
+        m ^= b
+    translate = t.translate_mask
+    sub = t.sub_index
+    trans_cache: dict[int, int] = {0: mask}
+    picks = [0]
+
+    def dfs(cover: int) -> bool:
+        if cover == full:
+            return True
+        best: list[int] | None = None
+        m = full & ~cover
+        while m:
+            b = m & -m
+            m ^= b
+            c = b.bit_length() - 1
+            cands = []
+            for a in idxs:
+                g = sub(c, a)
+                ag = trans_cache.get(g)
+                if ag is None:
+                    ag = translate(mask, g)
+                    trans_cache[g] = ag
+                if not ag & cover:
+                    cands.append(g)
+            if not cands:
+                return False
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(cands) == 1:
+                    break
+        best.sort()
+        for g in best:
+            picks.append(g)
+            if dfs(cover | trans_cache[g]):
+                return True
+            picks.pop()
+        return False
+
+    if dfs(mask):
+        return sorted(picks)
+    return None
+
+
 def _check_oracle_cap(params: GroupParams) -> None:
     if params.order > ORACLE_ORDER_LIMIT:
         raise CapacityError(
@@ -198,21 +261,14 @@ def find_spectrum_bruteforce(A: GroupSet) -> GroupSet | None:
 
 
 def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
-    """Some T with verify_tiling_pair(A, T), or None if none exists.
-
-    The returned complement always contains (0, 0) and is the
-    lexicographically first such set: a size-|G|/|A| clique avoiding the
-    differences of A.
-    """
+    """Some T with verify_tiling_pair(A, T), or None; deterministic first solution."""
     _check_oracle_cap(A.params)
-    k = A.cardinality
-    t = group_tables(A.params)
-    if k == 0 or t.order % k:
+    if A.cardinality == 0:
         return None
-    clique = _find_clique(t, t.full_mask & ~difference_set(A).mask, t.order // k)
-    if clique is None:
+    cover = _find_cover(group_tables(A.params), A.mask)
+    if cover is None:
         return None
-    return GroupSet.from_indices(A.params, clique)
+    return GroupSet.from_indices(A.params, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +392,8 @@ def _run_shard(args: tuple) -> tuple:
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
 
-    def clique_mask(edges: int, size: int) -> int:
-        clique = _find_clique(t, edges, size)
-        return 0 if clique is None else sum(bits[v] for v in clique)
+    def as_mask(idxs: list[int] | None) -> int:
+        return 0 if idxs is None else sum(bits[i] for i in idxs)
 
     def process(mask: int, k: int) -> None:
         nonlocal examined, orbits, empties, tile_lookups, tiles, spectral
@@ -365,7 +420,7 @@ def _run_shard(args: tuple) -> tuple:
         skey = pkey * (order + 1) + k
         bmask = smemo.get(skey, -1)
         if bmask == -1:
-            bmask = smemo[skey] = clique_mask(zmask, k)
+            bmask = smemo[skey] = as_mask(_find_clique(t, zmask, k))
         tmask = 0
         if order % k == 0:
             tile_lookups += 1
@@ -373,7 +428,7 @@ def _run_shard(args: tuple) -> tuple:
             tkey = dmask * (order + 1) + k
             tmask = tmemo.get(tkey, -1)
             if tmask == -1:
-                tmask = tmemo[tkey] = clique_mask(full & ~dmask, order // k)
+                tmask = tmemo[tkey] = as_mask(_find_cover(t, mask))
         sp = bmask != 0
         tl = tmask != 0
         if tl:

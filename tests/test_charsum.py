@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +153,16 @@ class TestZeroSet:
         # constructions in place of zero_set, so the two must agree everywhere
         t = group_tables(q)
         for mask in range(1 << q.order):
+            assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
+
+    @pytest.mark.parametrize("q", [GroupParams(3, 2), GroupParams(5, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    def test_profile_key_matches_zero_set_on_seeded_masks(self, q):
+        # the largest sweeps: every size, random subsets of it
+        rng = random.Random(q.order)
+        t = group_tables(q)
+        for _ in range(3000):
+            k = rng.randrange(q.order + 1)
+            mask = sum(1 << i for i in rng.sample(range(q.order), k))
             assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
 
     @settings(deadline=None, max_examples=100)

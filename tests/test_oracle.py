@@ -1,3 +1,4 @@
+import signal
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,21 @@ from spectile import oracle
 from spectile.oracle import ENUM_SHARD_LIMIT, EnumerationReport, Mismatch
 
 from conftest import SMALL_PARAMS, make_set
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test if it runs longer than `seconds`."""
+
+    def expire(*_):
+        raise AssertionError(f"{fn.__name__} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 P22 = GroupParams(2, 2)
 
@@ -101,20 +117,36 @@ class TestBruteForceSearches:
     @pytest.mark.parametrize(
         "q", [GroupParams(2, 1), GroupParams(3, 1), P22], ids=lambda q: f"p{q.p}n{q.n}"
     )
-    def test_complement_is_lexicographically_first(self, q):
-        # independent scan: sets T containing 0 in combinations order, which
-        # is lexicographic on the sorted index tuples
+    def test_complement_matches_independent_scan(self, q):
+        # independent scan over every T containing 0 of size |G| / |A|
         for mask in range(1 << q.order):
             A = GroupSet(q, mask)
-            expected = None
+            exists = False
             if A.cardinality and q.order % A.cardinality == 0:
                 k = q.order // A.cardinality
-                for rest in combinations(range(1, q.order), k - 1):
-                    T = GroupSet.from_indices(q, (0,) + rest)
-                    if verify_tiling_pair(A, T):
-                        expected = T
-                        break
-            assert find_complement_bruteforce(A) == expected, mask
+                exists = any(
+                    verify_tiling_pair(A, GroupSet.from_indices(q, (0,) + rest))
+                    for rest in combinations(range(1, q.order), k - 1)
+                )
+            T = find_complement_bruteforce(A)
+            if exists:
+                assert T is not None and q.zero() in T and verify_tiling_pair(A, T), mask
+            else:
+                assert T is None, mask
+
+    def test_complement_search_prunes_dead_cells(self):
+        # A non-tile whose differences leave (0, 3) uncoverable: an exact
+        # cover fails at once; a clique search on G minus A - A, which lacks
+        # that pruning, ran past 5 s on it
+        q = GroupParams(2, 6)
+        A = GroupSet.from_elements(q, [q.element(0, y) for y in (0, 1, 2, 4)])
+        assert _within(5.0, find_complement_bruteforce, A) is None
+
+    def test_complement_search_order_256_tile(self):
+        q = GroupParams(2, 7)
+        A = GroupSet.from_elements(q, [q.element(x, y) for x, y in ((0, 0), (1, 1), (1, 2), (1, 3))])
+        T = _within(5.0, find_complement_bruteforce, A)
+        assert T is not None and verify_tiling_pair(A, T)
 
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)
