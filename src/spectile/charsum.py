@@ -9,13 +9,17 @@ p^n-th root of unity.  Two independent zero tests are provided:
   polynomial Phi(X) = sum_{j < p} X^(j * p^(n-1)).
 
 The first is the hot path (pure integer comparisons); the second is kept
-as an independent oracle.  Nothing here touches floating point.
+as an independent oracle and shares no code with the first: its one
+reduction step is _add_root_power.  A zero set is returned as a
+ZeroProfile, a bitmask over the unit-equivalence classes.  Nothing here
+touches floating point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 from .group import (
@@ -111,17 +115,8 @@ class CyclotomicInt:
     @classmethod
     def root_power(cls, p: int, n: int, e: int) -> "CyclotomicInt":
         """zeta^e, reduced."""
-        deg = p ** (n - 1) * (p - 1)
-        pn1 = p ** (n - 1)
-        coef = [0] * deg
-        e %= p**n
-        j, r = divmod(e, pn1)
-        if j < p - 1:
-            coef[j * pn1 + r] = 1
-        else:
-            # X^((p-1)*p^(n-1)) = -(1 + X^(p^(n-1)) + ... + X^((p-2)*p^(n-1)))
-            for jj in range(p - 1):
-                coef[jj * pn1 + r] -= 1
+        coef = [0] * (p ** (n - 1) * (p - 1))
+        _add_root_power(coef, p, n, e, 1)
         return cls(p, n, tuple(coef))
 
     def _check(self, other: "CyclotomicInt") -> None:
@@ -146,26 +141,31 @@ class CyclotomicInt:
         return CyclotomicInt(self.p, self.n, tuple(-a for a in self.coefficients))
 
     def times_root_power(self, e: int) -> "CyclotomicInt":
-        """Multiply by zeta^e (exponents fold through X^(p^n) = 1, then Phi)."""
+        """Multiply by zeta^e."""
         p, n = self.p, self.n
-        pn = p**n
-        pn1 = p ** (n - 1)
-        deg = pn1 * (p - 1)
-        coef = [0] * deg
-        e %= pn
+        coef = [0] * len(self.coefficients)
         for k, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            j, r = divmod((k + e) % pn, pn1)
-            if j < p - 1:
-                coef[j * pn1 + r] += a
-            else:
-                for jj in range(p - 1):
-                    coef[jj * pn1 + r] -= a
+            if a:
+                _add_root_power(coef, p, n, k + e, a)
         return CyclotomicInt(p, n, tuple(coef))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coefficients)
+
+
+def _add_root_power(coef: list[int], p: int, n: int, e: int, a: int) -> None:
+    """Add a * zeta^e to the reduced coefficient list coef, in place.
+
+    The exponent folds through X^(p^n) = 1, then through Phi:
+    X^((p-1)*p^(n-1) + r) = -sum_{j < p-1} X^(j*p^(n-1) + r).
+    """
+    pn1 = p ** (n - 1)
+    j, r = divmod(e % (p * pn1), pn1)
+    if j < p - 1:
+        coef[j * pn1 + r] += a
+    else:
+        for jj in range(p - 1):
+            coef[jj * pn1 + r] -= a
 
 
 def char_value_exact(A: GroupSet, u: Element) -> CyclotomicInt:
@@ -173,68 +173,63 @@ def char_value_exact(A: GroupSet, u: Element) -> CyclotomicInt:
     _require_same_params(A.params, u.params)
     q = A.params
     t = group_tables(q)
-    pn1 = t.pn1
-    p = q.p
-    deg = t.phi_degree
-    coef = [0] * deg
+    coef = [0] * t.phi_degree
     u_idx = u.index
     for e_idx in A.indices():
-        j, r = divmod(t.inner(e_idx, u_idx), pn1)
-        if j < p - 1:
-            coef[j * pn1 + r] += 1
-        else:
-            for jj in range(p - 1):
-                coef[jj * pn1 + r] -= 1
-    return CyclotomicInt(p, q.n, tuple(coef))
+        _add_root_power(coef, q.p, q.n, t.inner(e_idx, u_idx), 1)
+    return CyclotomicInt(q.p, q.n, tuple(coef))
 
 
 @dataclass(frozen=True)
 class ZeroProfile:
     """The zero set of a subset, reduced to unit-equivalence classes.
 
-    reps holds one ClassRep per class contained in the zero set; I is the
-    derived set of levels i with (0, p^i) present, and has_unit_axis flags
-    the class of (1, 0).
+    Bit rid of bits is set iff the class of group_tables(params).reps[rid]
+    lies in the zero set.  Every view is derived from bits; reps (the
+    classes) and I (the levels i with (0, p^i) present) are cached on first
+    use, since the sweep hands one profile to many constructions.
     """
 
     params: GroupParams
-    reps: frozenset[ClassRep]
-    I: frozenset[int]
-    has_unit_axis: bool
+    bits: int
 
     @classmethod
     def from_reps(cls, params: GroupParams, reps) -> "ZeroProfile":
-        reps = frozenset(reps)
-        levels = frozenset(r.i for r in reps if r.kind == "mixed" and r.c == 0)
-        axis = any(r.kind == "unit_axis" for r in reps)
-        return cls(params, reps, levels, axis)
+        all_reps = group_tables(params).reps
+        return cls(params, sum(1 << all_reps.index(r) for r in set(reps)))
 
     def ordered_reps(self) -> list[ClassRep]:
-        return sorted(self.reps, key=ClassRep.sort_key)
+        """The classes in rep-id order: (1,0) first, then (c, p^i) by (i, c)."""
+        bits = self.bits
+        return [r for rid, r in enumerate(group_tables(self.params).reps) if bits >> rid & 1]
+
+    @cached_property
+    def reps(self) -> frozenset[ClassRep]:
+        return frozenset(self.ordered_reps())
+
+    @cached_property
+    def I(self) -> frozenset[int]:
+        return frozenset(r.i for r in self.ordered_reps() if r.kind == "mixed" and r.c == 0)
+
+    @property
+    def has_unit_axis(self) -> bool:
+        return bool(self.bits & 1)
 
     def mixed_levels(self) -> frozenset[int]:
         """Levels i carrying any zero (c, p^i), c arbitrary."""
-        return frozenset(r.i for r in self.reps if r.kind == "mixed")
-
-    def contains(self, rep: ClassRep) -> bool:
-        return rep in self.reps
+        return frozenset(r.i for r in self.ordered_reps() if r.kind == "mixed")
 
     def is_empty(self) -> bool:
-        return not self.reps
+        return not self.bits
 
     def key(self) -> int:
-        """Bitmask over the fixed rep order; usable as a dictionary key."""
-        t = group_tables(self.params)
-        key = 0
-        for rid, rep in enumerate(t.reps):
-            if rep in self.reps:
-                key |= 1 << rid
-        return key
+        """The rep bitmask bits; usable as a dictionary key."""
+        return self.bits
 
     def zero_mask(self) -> int:
-        """Bitmap of the full zero set (union of the classes in reps)."""
-        t = group_tables(self.params)
-        return t.zero_mask_for_key(self.key())
+        """Bitmap of the full zero set: the sum of its disjoint classes."""
+        masks = group_tables(self.params).class_masks
+        return sum(m for rid, m in enumerate(masks) if self.bits >> rid & 1)
 
 
 def zero_set(A: GroupSet) -> ZeroProfile:
@@ -245,22 +240,12 @@ def zero_set(A: GroupSet) -> ZeroProfile:
     Galois conjugates of the sum.
     """
     q = A.params
-    t = group_tables(q)
     pairs = _coordinates(A)
-    reps = [
-        rep
-        for rep, idx in zip(t.reps, t.rep_elem_index)
-        if _slices_equal(q, pairs, *divmod(idx, q.pn))
-    ]
-    return ZeroProfile.from_reps(q, reps)
-
-
-def profile_from_key(params: GroupParams, key: int) -> ZeroProfile:
-    """Rebuild a ZeroProfile from its rep bitmask."""
-    t = group_tables(params)
-    return ZeroProfile.from_reps(
-        params, (t.reps[rid] for rid in range(t.rep_count) if key >> rid & 1)
-    )
+    bits = 0
+    for rid, idx in enumerate(group_tables(q).rep_elem_index):
+        if _slices_equal(q, pairs, *divmod(idx, q.pn)):
+            bits |= 1 << rid
+    return ZeroProfile(q, bits)
 
 
 # ---------------------------------------------------------------------------

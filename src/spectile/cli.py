@@ -16,13 +16,7 @@ from pathlib import Path
 
 from . import constructions, oracle, setio
 from .charsum import compare_zero_tests, zero_set
-from .errors import (
-    CapacityError,
-    InvalidInputError,
-    ParameterError,
-    ParseError,
-    SpectileError,
-)
+from .errors import CapacityError, ParameterError, ParseError, SpectileError
 from .group import GroupParams, GroupSet
 from .structure import classify_size, divisibility_exponent
 
@@ -195,10 +189,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     params = GroupParams(args.p, args.n)
-    if params.order > oracle.ORACLE_ORDER_LIMIT:
-        raise CapacityError(
-            f"group order {params.order} exceeds the oracle cap {oracle.ORACLE_ORDER_LIMIT}"
-        )
+    oracle._check_oracle_cap(params)
     result = compare_zero_tests(params, args.trials, args.seed)
     if args.json:
         payload = {
@@ -294,21 +285,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, ParameterError) as exc:
+    except (ParseError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except SpectileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

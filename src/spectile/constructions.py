@@ -20,7 +20,7 @@ from .errors import (
     MissingPartnerError,
     NonSpectralSizeError,
 )
-from .group import ClassRep, GroupParams, GroupSet, _require_same_params, group_tables
+from .group import ClassRep, GroupParams, GroupSet, _require_same_params, _split_p
 from .oracle import (
     ORACLE_ORDER_LIMIT,
     _spectral_violation,
@@ -469,15 +469,10 @@ def _case3_witness(params: GroupParams, B: GroupSet, j0: int) -> tuple[int, list
             d = (x1 - x2) % pn
             if d == 0:
                 continue
-            v = 0
-            dd = d
-            while dd % q.p == 0:
-                dd //= q.p
-                v += 1
+            v, dd = _split_p(d, q.p)
             if v != target:
                 continue
-            cp = dd % q.p
-            c = (cp * pow((t1 - t2) % q.p, -1, q.p)) % q.p
+            c = (dd % q.p * pow((t1 - t2) % q.p, -1, q.p)) % q.p
             return c, [[t1, x1], [t2, x2]]
     raise InvalidInputError(
         "no difference of the spectrum has the required valuation; the pair is "

@@ -188,14 +188,6 @@ class ClassRep:
             return params.element(1 % params.p, 0)
         return params.element(self.c, params.p**self.i)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        """Report order: (1,0) first, then (c, p^i) ordered by (i, c)."""
-        if self.kind == "zero":
-            return (-1, 0, 0)
-        if self.kind == "unit_axis":
-            return (0, 0, 0)
-        return (1, self.i, self.c)
-
     def label(self) -> str:
         if self.kind == "zero":
             return "(0,0)"
@@ -307,17 +299,20 @@ def digits(t: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _split_p(t: int, p: int) -> tuple[int, int]:
+    """(s, m) with t = m * p^s and m coprime to p; t must be nonzero."""
+    s = 0
+    while t % p == 0:
+        t //= p
+        s += 1
+    return s, t
+
+
 def valuation(t: int, p: int, m: int) -> int | None:
     """Least i with t[i] != 0 in base p, or None for t = 0."""
     if not 0 <= t < p**m:
         raise ParameterError(f"t={t} out of range [0, {p}^{m})")
-    if t == 0:
-        return None
-    i = 0
-    while t % p == 0:
-        t //= p
-        i += 1
-    return i
+    return None if t == 0 else _split_p(t, p)[0]
 
 
 def canonical_rep(u: Element) -> ClassRep:
@@ -328,16 +323,7 @@ def canonical_rep(u: Element) -> ClassRep:
     """
     if u.is_zero():
         return ClassRep.zero()
-    if u.y == 0:
-        return ClassRep.unit_axis()
-    p = u.params.p
-    i = 0
-    y = u.y
-    while y % p == 0:
-        y //= p
-        i += 1
-    c = (u.x * pow(y % p, -1, p)) % p
-    return ClassRep.mixed(c, i)
+    return group_tables(u.params).reps[_rep_id(u.params.p, u.x, u.y)]
 
 
 def class_members(rep: ClassRep, params: GroupParams) -> GroupSet:
@@ -372,16 +358,16 @@ def difference_set(A: GroupSet) -> GroupSet:
 # Cached per-group tables
 
 
-def _rep_id(p: int, pn: int, x: int, y: int) -> int:
-    # unit_axis is id 0; mixed(c, i) is id 1 + i*p + c
+def _rep_id(p: int, x: int, y: int) -> int:
+    """Index in GroupTables.reps of the class of the nonzero element (x, y).
+
+    unit_axis is id 0; mixed(c, i) is id 1 + i*p + c, where y = m * p^i
+    and c = x * m^-1 mod p.
+    """
     if y == 0:
         return 0
-    i = 0
-    while y % p == 0:
-        y //= p
-        i += 1
-    c = (x * pow(y % p, -1, p)) % p
-    return 1 + i * p + c
+    i, m = _split_p(y, p)
+    return 1 + i * p + x * pow(m % p, -1, p) % p
 
 
 class GroupTables:
@@ -453,7 +439,7 @@ class GroupTables:
             p, pn = self.p, self.pn
             for idx in range(1, self.order):
                 x, y = divmod(idx, pn)
-                class_masks[_rep_id(p, pn, x, y)] |= 1 << idx
+                class_masks[_rep_id(p, x, y)] |= 1 << idx
             self._class_masks = class_masks
         return self._class_masks
 
@@ -545,15 +531,6 @@ class GroupTables:
             else:
                 key |= 1 << rid
         return key
-
-    def zero_mask_for_key(self, key: int) -> int:
-        out = 0
-        masks = self.class_masks
-        while key:
-            b = key & -key
-            out |= masks[b.bit_length() - 1]
-            key ^= b
-        return out
 
 
 @lru_cache(maxsize=None)

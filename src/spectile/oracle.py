@@ -6,15 +6,17 @@ containing 0 in the graph whose edges are differences lying in the zero
 set, found in lexicographic branch order; a tiling complement is an exact
 cover by translates, normalized so the cover always uses the translate by
 0, with first-fail cell selection and translate columns tried in
-ascending index order.
+ascending index order.  Both searches keep an explicit stack, so their
+depth is bounded by the group order, not by the recursion limit.
 
 enumerate_and_check sweeps a whole group (optionally restricted to given
 cardinalities), decides tile and spectral for every subset by the oracles,
 cross-checks the constructive algorithms on every positive, and reports
 any disagreement.  Both verdicts are memoized: the spectral one on the
-zero profile and |A|, the tile one on A - A and |A|.  Work is split into
-shards whose merge is independent of the shard count, so reports are
-byte-identical however the sweep is partitioned.
+zero profile and |A|, the tile one on A - A and |A|.  The canonical
+filter is canonicalize's orbit scan, stopped at the first smaller image.
+Work is split into shards whose merge is independent of the shard count,
+so reports are byte-identical however the sweep is partitioned.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
 
-from .charsum import ZeroProfile, _coordinates, profile_from_key, zero_set
+from .charsum import ZeroProfile, _coordinates, zero_set
 from .errors import CapacityError, ParameterError
 from .group import (
     Element,
@@ -82,7 +84,7 @@ def _spectral_violation(
     for i, (ux, uy) in enumerate(pairs):
         for vx, vy in pairs[i + 1:]:
             dx, dy = (vx - ux) % p, (vy - uy) % pn
-            if not key >> _rep_id(p, pn, dx, dy) & 1:
+            if not key >> _rep_id(p, dx, dy) & 1:
                 return q.element(dx, dy)
     return None
 
@@ -137,7 +139,8 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
 
     Vertices are element indices; u and v are adjacent iff u - v lies in
     zmask.  Restricting to cliques containing 0 loses nothing because the
-    edge relation is translation invariant.
+    edge relation is translation invariant.  The search keeps its own
+    stack, so its depth is not bounded by the interpreter's recursion limit.
     """
     if k <= 0:
         return None
@@ -146,32 +149,25 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
     translate = t.translate_mask
     nbr_cache: dict[int, int] = {}
     chosen = [0]
-
-    def nbr(v: int) -> int:
-        m = nbr_cache.get(v)
-        if m is None:
-            m = translate(zmask, v)
-            nbr_cache[v] = m
-        return m
-
-    def dfs(allowed: int, need: int) -> bool:
-        cand = allowed
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            chosen.append(v)
-            if need == 1:
-                return True
-            if dfs(allowed & nbr(v) & ~((b << 1) - 1), need - 1):
-                return True
+    cands = [zmask]  # per depth: untried vertices adjacent to chosen, above its last
+    while cands:
+        cand = cands[-1]
+        need = k - len(chosen)
+        if cand.bit_count() < need:
+            cands.pop()
             chosen.pop()
-        return False
-
-    if dfs(zmask, k - 1):
-        return chosen
+            continue
+        b = cand & -cand
+        cand ^= b
+        cands[-1] = cand
+        v = b.bit_length() - 1
+        chosen.append(v)
+        if need == 1:
+            return chosen
+        nbr = nbr_cache.get(v)
+        if nbr is None:
+            nbr = nbr_cache[v] = translate(zmask, v)
+        cands.append(cand & nbr)
     return None
 
 
@@ -188,20 +184,14 @@ def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
     full = t.full_mask
     if mask == full:
         return [0]
-    idxs = []
-    m = mask
-    while m:
-        b = m & -m
-        idxs.append(b.bit_length() - 1)
-        m ^= b
+    idxs = GroupSet(t.params, mask).indices()
     translate = t.translate_mask
     sub = t.sub_index
     trans_cache: dict[int, int] = {0: mask}
-    picks = [0]
 
-    def dfs(cover: int) -> bool:
-        if cover == full:
-            return True
+    def branches(cover: int) -> list[int]:
+        # the usable translates at the first-fail cell, descending so that
+        # pop() tries them in ascending order; [] at a dead cell
         best: list[int] | None = None
         m = full & ~cover
         while m:
@@ -213,26 +203,33 @@ def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
                 g = sub(c, a)
                 ag = trans_cache.get(g)
                 if ag is None:
-                    ag = translate(mask, g)
-                    trans_cache[g] = ag
+                    ag = trans_cache[g] = translate(mask, g)
                 if not ag & cover:
                     cands.append(g)
             if not cands:
-                return False
+                return cands
             if best is None or len(cands) < len(best):
                 best = cands
                 if len(cands) == 1:
                     break
-        best.sort()
-        for g in best:
-            picks.append(g)
-            if dfs(cover | trans_cache[g]):
-                return True
-            picks.pop()
-        return False
+        best.sort(reverse=True)
+        return best
 
-    if dfs(mask):
-        return sorted(picks)
+    # one frame per pick, on an explicit stack: (cover so far, untried translates)
+    picks = [0]
+    stack = [(mask, branches(mask))]
+    while stack:
+        cover, todo = stack[-1]
+        if not todo:
+            stack.pop()
+            picks.pop()
+            continue
+        g = todo.pop()
+        picks.append(g)
+        cover |= trans_cache[g]
+        if cover == full:
+            return sorted(picks)
+        stack.append((cover, branches(cover)))
     return None
 
 
@@ -275,26 +272,28 @@ def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
 # Canonical forms under translations and unit scalings
 
 
-def canonicalize(A: GroupSet) -> GroupSet:
-    """Lexicographically smallest bitmap in the orbit {a*A + g : a unit, g in G}."""
-    t = group_tables(A.params)
-    best = A.mask
-    for a in A.params.units():
-        base = A.mask if a == 1 else t.scale_mask(A.mask, a)
-        for g in range(t.order):
-            img = t.translate_mask(base, g)
-            if img < best:
-                best = img
-    return GroupSet(A.params, best)
+def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
+    """Smallest bitmap in the orbit {a*mask + g : a unit, g in G}.
 
-
-def _is_canonical(t: GroupTables, mask: int) -> bool:
+    With first_below the scan stops at the first image below mask and
+    returns it, so the result equals mask exactly when mask is the orbit
+    minimum; the sweep's canonical filter needs only that answer.
+    """
+    best = mask
     for a in t.params.units():
         base = mask if a == 1 else t.scale_mask(mask, a)
-        for g in range(t.order):
-            if t.translate_mask(base, g) < mask:
-                return False
-    return True
+        for g in range(a == 1, t.order):  # a = 1, g = 0 maps mask to itself
+            img = t.translate_mask(base, g)
+            if img < best:
+                if first_below:
+                    return img
+                best = img
+    return best
+
+
+def canonicalize(A: GroupSet) -> GroupSet:
+    """Lexicographically smallest bitmap in the orbit {a*A + g : a unit, g in G}."""
+    return GroupSet(A.params, _orbit_min(group_tables(A.params), A.mask, False))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ def _run_shard(args: tuple) -> tuple:
         nonlocal examined, orbits, empties, tile_lookups, tiles, spectral
         examined += 1
         if use_canonical:
-            if not _is_canonical(t, mask):
+            if _orbit_min(t, mask, True) != mask:
                 return
             orbits += 1
         if k == 0:
@@ -408,9 +407,9 @@ def _run_shard(args: tuple) -> tuple:
         pkey = profile_key(mask)
         entry = profiles.get(pkey)
         if entry is None:
-            profile = profile_from_key(params, pkey)
+            profile = ZeroProfile(params, pkey)
             entry = profiles[pkey] = (
-                profile, p ** divisibility_exponent(profile), t.zero_mask_for_key(pkey)
+                profile, p ** divisibility_exponent(profile), profile.zero_mask()
             )
         profile, dp, zmask = entry
         if k % dp:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .charsum import ZeroProfile
 from .errors import ParameterError
-from .group import GroupParams, GroupSet, digits
+from .group import GroupParams, GroupSet, _split_p
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ def classify_size(cardinality: int, params: GroupParams) -> SizeClass:
         raise ParameterError(
             f"cardinality {cardinality} out of range [1, {params.order}]"
         )
-    m, s = cardinality, 0
-    while m % params.p == 0:
-        m //= params.p
-        s += 1
+    s, m = _split_p(cardinality, params.p)
     if cardinality == 1 or cardinality == params.order:
         kind = "trivial"
     elif m == 1:
@@ -65,14 +62,10 @@ def divisibility_exponent(profile: ZeroProfile) -> int:
     return max(1 + sum(1 for i in levels_I if i > i1) for i1 in starts)
 
 
-def _delete_digit(y: int, pos: int, p: int, n: int) -> int:
+def _delete_digit(y: int, pos: int, p: int) -> int:
     """Remove digit `pos` from the base-p expansion, shifting higher digits down."""
-    d = digits(y, p, n)
-    kept = [d[i] for i in range(n) if i != pos]
-    out = 0
-    for i, di in enumerate(kept):
-        out += di * p**i
-    return out
+    w = p**pos
+    return y // (w * p) * w + y % w
 
 
 def project_delete_digit(A: GroupSet, r: int, variant: int) -> GroupSet:
@@ -94,5 +87,5 @@ def project_delete_digit(A: GroupSet, r: int, variant: int) -> GroupSet:
     target = GroupParams(q.p, q.n - 1)
     return GroupSet.from_elements(
         target,
-        ((e.x, _delete_digit(e.y, pos, q.p, q.n)) for e in A.elements()),
+        ((e.x, _delete_digit(e.y, pos, q.p)) for e in A.elements()),
     )

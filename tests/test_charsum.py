@@ -19,7 +19,7 @@ from spectile import (
     slice_counts,
     zero_set,
 )
-from spectile.charsum import profile_from_key
+from spectile.charsum import ZeroProfile
 from spectile.group import group_tables
 
 from conftest import SMALL_PARAMS, make_set
@@ -140,7 +140,7 @@ class TestZeroSet:
         for mask in range(0, 1 << q.order, max(1, (1 << q.order) // 257)):
             prof = zero_set(GroupSet(q, mask))
             key = t.profile_key(mask)
-            assert profile_from_key(q, key).reps == prof.reps
+            assert ZeroProfile(q, key).reps == prof.reps
             assert prof.key() == key
 
     @pytest.mark.parametrize(
@@ -149,11 +149,20 @@ class TestZeroSet:
         ids=lambda q: f"p{q.p}n{q.n}",
     )
     def test_profile_key_matches_zero_set_on_every_mask(self, q):
-        # the sweep hands profile_from_key(profile_key(mask)) to the
+        # the sweep hands ZeroProfile(q, profile_key(mask)) to the
         # constructions in place of zero_set, so the two must agree everywhere
         t = group_tables(q)
         for mask in range(1 << q.order):
             assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
+
+    @pytest.mark.parametrize("q", [GroupParams(2, 2), GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    def test_reps_round_trip_in_report_order(self, q):
+        # analyze prints ordered_reps(): (1,0) first, then (c, p^i) by (i, c)
+        for mask in range(1 << q.order):
+            prof = zero_set(GroupSet(q, mask))
+            assert ZeroProfile.from_reps(q, prof.reps) == prof, mask
+            order = sorted(prof.reps, key=lambda r: (r.kind != "unit_axis", r.i, r.c))
+            assert prof.ordered_reps() == order, mask
 
     @pytest.mark.parametrize("q", [GroupParams(3, 2), GroupParams(5, 1)], ids=lambda q: f"p{q.p}n{q.n}")
     def test_profile_key_matches_zero_set_on_seeded_masks(self, q):

@@ -22,6 +22,8 @@ from spectile import (
     zero_set,
 )
 from spectile import oracle
+from spectile.cli import main
+from spectile.group import group_tables
 from spectile.oracle import ENUM_SHARD_LIMIT, EnumerationReport, Mismatch
 
 from conftest import SMALL_PARAMS, make_set
@@ -148,6 +150,19 @@ class TestBruteForceSearches:
         T = _within(5.0, find_complement_bruteforce, A)
         assert T is not None and verify_tiling_pair(A, T)
 
+    def test_searches_deeper_than_the_recursion_limit(self, tmp_path):
+        # order 2048: the singleton's complement takes 2047 picks and the
+        # axis's spectrum 1023, past the interpreter's default recursion limit
+        q = GroupParams(2, 10)
+        single = GroupSet.from_indices(q, [0])
+        assert _within(10.0, find_complement_bruteforce, single) == GroupSet.full(q)
+        axis = make_set(q, [(0, y) for y in range(q.pn)])
+        B = _within(10.0, find_spectrum_bruteforce, axis)
+        assert B is not None and verify_spectral_pair(axis, B)
+        path = tmp_path / "single.txt"
+        path.write_text("2 10\n0 0\n", encoding="utf-8")
+        assert _within(10.0, main, ["search", str(path), "--mode", "tiling"]) == 0
+
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)
         assert find_spectrum_bruteforce(E) is None
@@ -203,6 +218,14 @@ class TestCanonicalize:
     def test_full_group_fixed(self, small_params):
         q = small_params
         assert canonicalize(GroupSet.full(q)) == GroupSet.full(q)
+
+    @pytest.mark.parametrize("q", [P22, GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    def test_sweep_filter_matches_canonicalize(self, q):
+        # the sweep keeps a mask exactly when it is its own canonical form
+        t = group_tables(q)
+        for mask in range(1 << q.order):
+            kept = oracle._orbit_min(t, mask, True) == mask
+            assert kept == (canonicalize(GroupSet(q, mask)).mask == mask), mask
 
     def test_constant_on_orbit(self):
         q = GroupParams(3, 1)

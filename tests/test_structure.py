@@ -10,6 +10,7 @@ from spectile import (
     divisibility_exponent,
     find_spectrum_bruteforce,
     project_delete_digit,
+    valuation,
     verify_spectral_pair,
     zero_set,
 )
@@ -41,6 +42,18 @@ class TestClassifySize:
             classify_size(0, P22)
         with pytest.raises(ParameterError):
             classify_size(9, P22)
+
+    def test_split_matches_digit_definition(self, small_params):
+        # valuation and classify_size share one p-adic split; both must match
+        # the least nonzero base-p digit on every t < p^(n+1)
+        q = small_params
+        p, m = q.p, q.n + 1
+        assert valuation(0, p, m) is None
+        for t in range(1, q.order):
+            s = next(i for i in range(m) if t // p**i % p)
+            assert valuation(t, p, m) == s
+            sc = classify_size(t, q)
+            assert (sc.s, sc.m) == (s, t // p**s)
 
     def test_tags_exhaustive_and_exclusive(self):
         q = GroupParams(3, 2)
