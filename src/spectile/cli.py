@@ -184,6 +184,8 @@ def _cmd_enumerate(args) -> int:
                     f"{name}-memo: lookups={memo['lookups']} misses={memo['misses']}",
                     file=sys.stderr,
                 )
+            for i, (examined, seconds) in enumerate(report.shard_stats):
+                print(f"shard {i}: subsets={examined} seconds={seconds:.3f}", file=sys.stderr)
     return EXIT_OK if not report.mismatches else EXIT_FAILURE
 
 
@@ -262,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="write the canonical JSON report here")
     sp.add_argument("--json", action="store_true", help="print the canonical JSON report")
     sp.add_argument(
-        "--verbose", action="store_true", help="print wall time and memo counts to stderr"
+        "--verbose",
+        action="store_true",
+        help="print wall time, memo counts and per-shard timings to stderr",
     )
     sp.set_defaults(func=_cmd_enumerate)
 

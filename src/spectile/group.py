@@ -29,9 +29,12 @@ from .errors import CapacityError, ParameterError
 # on 2-element sets; a bitmap here is a 2 MB integer.
 DEFAULT_ORDER_LIMIT = 2**24
 
-# Per-class fiber bitmaps are only tabulated for groups this small.  Only the
-# enumeration harness needs them; single-set operations count residues.
-_FIBER_TABLE_LIMIT = 4096
+# profile_key's byte tables are only built for groups this small, the
+# largest sweep order: at most 4 tables of 256 packed counts.  Single-set
+# operations count residues instead.
+_PROFILE_KEY_LIMIT = 32
+# Width of one packed slice count; a count is at most the order, 32 < 2^7.
+_FIELD_BITS = 7
 # Below this order the translation rotation masks are prebuilt as lists
 # (the enumeration hot path); above it each translation builds its own.
 _EAGER_TABLE_LIMIT = 4096
@@ -383,7 +386,7 @@ class GroupTables:
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
         "reps", "rep_count", "rep_elem_index", "_class_masks",
-        "_fibers", "_rot_keep", "_rot_move",
+        "_key_tables", "_rot_keep", "_rot_move",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -408,7 +411,7 @@ class GroupTables:
         self.rep_elem_index = [r.element(params).index for r in reps]
 
         self._class_masks = None
-        self._fibers = None
+        self._key_tables = None
         if order <= _EAGER_TABLE_LIMIT:
             keep, move = [0], [0]
             for gy in range(1, pn):
@@ -443,30 +446,39 @@ class GroupTables:
             self._class_masks = class_masks
         return self._class_masks
 
-    @property
-    def fibers(self):
-        """Per-rep bitmaps of the inner-product fibers, grouped by residue
-        class mod p^(n-1); only tabulated for sweep-sized groups."""
-        if self.order > _FIBER_TABLE_LIMIT:
+    def _build_key_tables(self) -> tuple:
+        """Byte tables of packed slice counts, and one field mask per rep.
+
+        Element e adds 1 to field rid * p^n + c * p + j for every rep u =
+        reps[rid], where <e, u> = c + j * p^(n-1) with c < p^(n-1): the
+        count of the set on fiber j of residue class c.  Table b maps byte
+        b of a mask to the packed counts of its elements, so a set's counts
+        are one table lookup per byte.  Mask rid selects every field of the
+        rep whose right-hand neighbour lies in the same class.
+        """
+        if self.order > _PROFILE_KEY_LIMIT:
             raise CapacityError(
-                f"fiber tables are only built up to order {_FIBER_TABLE_LIMIT}; "
+                f"profile_key tables are only built up to order {_PROFILE_KEY_LIMIT}; "
                 f"got {self.order}"
             )
-        if self._fibers is None:
-            fibers = []
-            pn = self.pn
-            for rid in range(self.rep_count):
-                ux, uy = divmod(self.rep_elem_index[rid], pn)
-                groups = [[0] * self.p for _ in range(self.pn1)]
-                w = self.pn1 * ux
-                for idx in range(self.order):
-                    ex, ey = divmod(idx, pn)
-                    t = (w * ex + ey * uy) % pn
-                    c, j = t % self.pn1, t // self.pn1
-                    groups[c][j] |= 1 << idx
-                fibers.append([tuple(g) for g in groups])
-            self._fibers = fibers
-        return self._fibers
+        p, pn, pn1, w = self.p, self.pn, self.pn1, _FIELD_BITS
+        packed = [0] * self.order
+        for idx in range(self.order):
+            for rid, u in enumerate(self.rep_elem_index):
+                j, c = divmod(self.inner(idx, u), pn1)
+                packed[idx] += 1 << w * (rid * pn + c * p + j)
+        tables = []
+        for base in range(0, self.order, 8):
+            table = [0] * 256
+            for byte in range(1, 256):
+                low = (byte & -byte).bit_length() - 1
+                if base + low < self.order:
+                    table[byte] = table[byte & (byte - 1)] + packed[base + low]
+            tables.append(table)
+        field_low = sum(1 << w * (c * p + j) for c in range(pn1) for j in range(p - 1))
+        masks = [(1 << rid, (field_low << w * rid * pn) * ((1 << w) - 1))
+                 for rid in range(self.rep_count)]
+        return tables, masks
 
     def neg_index(self, idx: int) -> int:
         x, y = divmod(idx, self.pn)
@@ -513,23 +525,23 @@ class GroupTables:
         """Bitmask over rep ids of the classes in the zero set of `mask`.
 
         Bit rid is set iff the character at reps[rid] sums to zero on the
-        set, decided by the slice-count equality criterion on the fiber
-        tables, so it serves sweep-sized groups only.
+        set, decided by the slice-count equality criterion: in every
+        residue class c mod p^(n-1) the set has equally many elements on
+        each of the p fibers {e : <e, u> = c + j p^(n-1)}.  The counts are
+        summed from per-byte tables as packed 7-bit fields, and adjacent
+        fields are compared all at once by XOR-ing the sum with itself
+        shifted one field down.  Groups above order 32 (the sweep limit)
+        are refused with CapacityError.
         """
+        if self._key_tables is None:
+            self._key_tables = self._build_key_tables()
+        tables, masks = self._key_tables
+        counts = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+        diff = counts ^ counts >> _FIELD_BITS
         key = 0
-        fibers = self.fibers
-        for rid in range(self.rep_count):
-            for group in fibers[rid]:
-                c0 = (mask & group[0]).bit_count()
-                ok = True
-                for fm in group[1:]:
-                    if (mask & fm).bit_count() != c0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            else:
-                key |= 1 << rid
+        for bit, m in masks:
+            if not diff & m:
+                key |= bit
         return key
 
 

@@ -16,7 +16,10 @@ any disagreement.  Both verdicts are memoized: the spectral one on the
 zero profile and |A|, the tile one on A - A and |A|.  The canonical
 filter is canonicalize's orbit scan, stopped at the first smaller image.
 Work is split into shards whose merge is independent of the shard count,
-so reports are byte-identical however the sweep is partitioned.
+so reports are byte-identical however the sweep is partitioned: a full
+sweep gives each shard a contiguous range of bitmaps, a size-filtered one
+every shard_n-th block of contiguous colex ranks of each size, walked by
+Gosper's successor.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 from math import comb
 
 from .charsum import ZeroProfile, _coordinates, zero_set
@@ -52,6 +54,10 @@ ENUM_FILTERED_LIMIT = 32
 ENUM_SUBSET_BUDGET = 2**27
 # More shards than this are refused before any work list is built.
 ENUM_SHARD_LIMIT = 1024
+# Colex ranks per block of a size-filtered sweep.  Blocks go to the shards
+# round-robin, not as one range each: orbit minima are the smallest
+# bitmaps, so a canonical sweep's expensive sets crowd the lowest ranks.
+_SHARD_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +320,11 @@ class Mismatch:
 class EnumerationReport:
     """Outcome of an exhaustive sweep; mismatches must be empty.
 
-    wall_time and stats are informational and excluded from the canonical
-    serialization so reports compare byte-for-byte across shard counts.
-    stats maps each verdict memo ("spectral", "tile") to its lookups and
-    misses, summed over shards.
+    wall_time, stats and shard_stats are informational and excluded from
+    the canonical serialization so reports compare byte-for-byte across
+    shard counts.  stats maps each verdict memo ("spectral", "tile") to its
+    lookups and misses, summed over shards; shard_stats holds each shard's
+    (subsets examined, seconds), in shard order.
     """
 
     params: GroupParams
@@ -329,6 +336,7 @@ class EnumerationReport:
     mismatches: list[Mismatch]
     wall_time: float
     stats: dict[str, dict[str, int]] = field(default_factory=dict)
+    shard_stats: list[tuple[int, float]] = field(default_factory=list)
 
     def canonical_dict(self) -> dict:
         from .setio import serialize_set
@@ -356,11 +364,47 @@ class EnumerationReport:
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _unrank_colex(order: int, k: int, rank: int) -> int:
+    """The k-subset bitmap of colex rank `rank` among the subsets of
+    range(order): the rank-th smallest integer with k bits set, read off
+    the combinatorial number system rank = sum of comb(c_i, i)."""
+    mask = 0
+    c = order
+    for i in range(k, 0, -1):
+        c -= 1
+        while comb(c, i) > rank:  # largest c below the last one that fits
+            c -= 1
+        rank -= comb(c, i)
+        mask |= 1 << c
+    return mask
+
+
+def _k_subsets(order: int, k: int, shard_i: int, shard_n: int):
+    """Shard shard_i's k-subsets of range(order), as bitmaps in colex order.
+
+    The C(order, k) colex ranks are cut into blocks of _SHARD_BLOCK, dealt
+    round-robin to the shards.  Each block's first bitmap is unranked once
+    and the rest follow by Gosper's successor (the next larger integer with
+    the same bit count).
+    """
+    total = comb(order, k)
+    for lo in range(shard_i * _SHARD_BLOCK, total, shard_n * _SHARD_BLOCK):
+        x = _unrank_colex(order, k, lo)
+        yield x
+        # k >= 1 whenever a step is taken: C(order, 0) = 1 leaves none
+        for _ in range(min(_SHARD_BLOCK, total - lo) - 1):
+            c = x & -x
+            r = x + c
+            x = ((r ^ x) >> 2) // c | r
+            yield x
+
+
 def _run_shard(args: tuple) -> tuple:
     # One worker's share of the sweep.  Must stay importable at module level
     # so multiprocessing can dispatch it.
     from . import constructions
 
+    start = time.perf_counter()
     p, n, sizes, use_canonical, shard_i, shard_n = args
     params = GroupParams(p, n)
     t = group_tables(params)
@@ -381,6 +425,8 @@ def _run_shard(args: tuple) -> tuple:
     # misses are its length.
     smemo: dict[int, int] = {}  # key: zero profile
     tmemo: dict[int, int] = {}  # key: difference set
+    # constructed complement mask -> its profile key, for the zero-cover check
+    t2keys: dict[int, int] = {}
 
     examined = 0
     orbits = 0
@@ -471,7 +517,10 @@ def _run_shard(args: tuple) -> tuple:
                     )
                 )
             else:
-                if pkey | profile_key(T2.mask) != all_reps:
+                t2key = t2keys.get(T2.mask)
+                if t2key is None:
+                    t2key = t2keys[T2.mask] = profile_key(T2.mask)
+                if pkey | t2key != all_reps:
                     mismatches.append(
                         Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
                     )
@@ -484,16 +533,14 @@ def _run_shard(args: tuple) -> tuple:
             process(mask, mask.bit_count())
     else:
         for k in sizes:
-            for combo in islice(combinations(range(order), k), shard_i, None, shard_n):
-                mask = 0
-                for i in combo:
-                    mask |= bits[i]
+            for mask in _k_subsets(order, k, shard_i, shard_n):
                 process(mask, k)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
     memo_stats = (spectral_lookups, len(smemo), tile_lookups, len(tmemo))
     return (
-        examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats
+        examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats,
+        time.perf_counter() - start,
     )
 
 
@@ -506,14 +553,15 @@ def enumerate_and_check(
     """Decide tile and spectral for every subset and cross-check everything.
 
     With a size_filter, only subsets of the listed cardinalities are
-    examined (one itertools.combinations stream per size, strided across
-    shards); without one, all 2^|G| bitmaps are split into contiguous
-    ranges.  Per subset: both oracle verdicts, the divisibility check on
-    the zero profile, the cardinality obstruction, the pigeonhole bound,
-    and a full construction round trip on every tile and every spectral
-    set.  Counts merge by addition and mismatches sort by (mask, kind), so
-    the report does not depend on the shard decomposition.  More than
-    ENUM_SHARD_LIMIT shards are refused with CapacityError.
+    examined: the colex ranks of each size are cut into blocks of
+    contiguous ranks, dealt round-robin to the shards.  Without one, all
+    2^|G| bitmaps are split into contiguous ranges.  Per subset: both
+    oracle verdicts, the divisibility check on the zero profile, the
+    cardinality obstruction, the pigeonhole bound, and a full construction
+    round trip on every tile and every spectral set.  Counts merge by
+    addition and mismatches sort by (mask, kind), so the report does not
+    depend on the shard decomposition.  More than ENUM_SHARD_LIMIT shards
+    are refused with CapacityError.
     """
     start = time.perf_counter()
     if shards < 1:
@@ -576,4 +624,5 @@ def enumerate_and_check(
             "spectral": {"lookups": memo[0], "misses": memo[1]},
             "tile": {"lookups": memo[2], "misses": memo[3]},
         },
+        shard_stats=[(r[0], r[6]) for r in results],
     )

@@ -164,7 +164,11 @@ class TestZeroSet:
             order = sorted(prof.reps, key=lambda r: (r.kind != "unit_axis", r.i, r.c))
             assert prof.ordered_reps() == order, mask
 
-    @pytest.mark.parametrize("q", [GroupParams(3, 2), GroupParams(5, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    @pytest.mark.parametrize(
+        "q",
+        [GroupParams(3, 2), GroupParams(5, 1), GroupParams(2, 4)],
+        ids=lambda q: f"p{q.p}n{q.n}",
+    )
     def test_profile_key_matches_zero_set_on_seeded_masks(self, q):
         # the largest sweeps: every size, random subsets of it
         rng = random.Random(q.order)

@@ -1,4 +1,5 @@
 import json
+import re
 from time import perf_counter
 
 import pytest
@@ -223,6 +224,18 @@ class TestEnumerateCommand:
         assert err[0].startswith("wall-time: ")
         assert err[1].startswith("spectral-memo: lookups=255 misses=")
         assert err[2].startswith("tile-memo: lookups=107 misses=")
+
+    def test_verbose_prints_one_line_per_shard(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["enumerate", "--p", "2", "--n", "2", "--sizes", "0,4", "--shards", "3",
+                "--verbose", "--out", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        shard_lines = [line for line in err if line.startswith("shard ")]
+        # 1 + 70 subsets fit in one block of colex ranks, dealt to shard 0
+        for i, (line, subsets) in enumerate(zip(shard_lines, (71, 0, 0), strict=True)):
+            assert re.fullmatch(rf"shard {i}: subsets={subsets} seconds=\d+\.\d{{3}}", line)
+        assert "shard" not in out.read_text() and "seconds" not in out.read_text()
 
     def test_broken_construction_keeps_exception_type(self, monkeypatch, capsys):
         import spectile.constructions as cons

@@ -262,6 +262,38 @@ class TestEnumerate:
         assert reports[0].canonical_json() == reports[1].canonical_json()
         assert reports[0].canonical_json() == reports[2].canonical_json()
 
+    @pytest.mark.parametrize("block", [1, 3, oracle._SHARD_BLOCK])
+    @pytest.mark.parametrize("q", [P22, GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    def test_k_subsets_visit_every_subset_once(self, q, block, monkeypatch):
+        # the shards' blocks of colex ranks together hold every k-subset
+        # exactly once, whatever the shard count and block size
+        monkeypatch.setattr(oracle, "_SHARD_BLOCK", block)
+        order = q.order
+        for k in (0, 1, 2, order // 2, order - 1, order):
+            expected = sorted(sum(1 << i for i in c) for c in combinations(range(order), k))
+            for shards in (1, 2, 3, len(expected) + 2):
+                masks = [
+                    m for i in range(shards) for m in oracle._k_subsets(order, k, i, shards)
+                ]
+                assert len(masks) == len(expected), (k, shards)
+                assert sorted(masks) == expected, (k, shards)
+
+    @pytest.mark.parametrize(
+        "q, sizes, shard_sizes",
+        [
+            # one block per size: every subset lands in shard 0
+            (GroupParams(3, 1), [0, 9], [2, 0, 0]),
+            # C(16, 8) = 12870 ranks make 51 blocks, dealt 17/17/17
+            (GroupParams(2, 3), [0, 1, 8], [1 + 16 + 4352, 4352, 4166]),
+        ],
+        ids=["z3z3", "z2z8"],
+    )
+    def test_size_filtered_shard_reports_byte_identical(self, q, sizes, shard_sizes):
+        reports = [enumerate_and_check(q, size_filter=sizes, shards=s) for s in (1, 2, 3)]
+        assert [n for n, _ in reports[2].shard_stats] == shard_sizes
+        assert reports[0].canonical_json() == reports[1].canonical_json()
+        assert reports[0].canonical_json() == reports[2].canonical_json()
+
     def test_size_filter_counts(self):
         q = GroupParams(3, 1)
         report = enumerate_and_check(q, size_filter=[3, 6])
