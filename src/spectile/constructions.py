@@ -19,8 +19,9 @@ from .errors import (
     InvalidInputError,
     MissingPartnerError,
     NonSpectralSizeError,
+    ParameterError,
 )
-from .group import ClassRep, GroupParams, GroupSet, _require_same_params, _split_p
+from .group import ClassRep, GroupParams, GroupSet, _mask_of, _require_same_params, _split_p
 from .oracle import (
     ORACLE_ORDER_LIMIT,
     _spectral_violation,
@@ -65,6 +66,24 @@ def nonspectral_size_witness(A: GroupSet) -> SizeObstruction | None:
 
 # ---------------------------------------------------------------------------
 # Shared builders
+
+
+def _partner(params: GroupParams, pairs) -> GroupSet:
+    """The set of the (x, y) pairs, built as one index mask.
+
+    A pair out of range, which only a non-genuine case split can produce,
+    is refused with ParameterError rather than wrapped into another index.
+    """
+    p, pn = params.p, params.pn
+    idxs = [
+        x * pn + y if 0 <= x < p and 0 <= y < pn else _out_of_range(params, x, y)
+        for x, y in pairs
+    ]
+    return GroupSet(params, _mask_of(params.order, idxs))
+
+
+def _out_of_range(params: GroupParams, x: int, y: int):
+    raise ParameterError(f"element ({x}, {y}) out of range for p={params.p}, n={params.n}")
 
 
 def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
@@ -152,15 +171,15 @@ def spectrum_from_tile(
         # |A| = p: the multiples of any zero form a spectrum.
         if profile.is_empty():
             raise InvalidInputError("zero set is empty; a nontrivial tile cannot have one")
-        z = q.element_from_index(min(_lowest_index(q, r) for r in profile.reps))
-        B = GroupSet.from_elements(q, (z.scale(r) for r in range(q.p)))
+        zx, zy = divmod(min(_lowest_index(q, r) for r in profile.reps), q.pn)
+        B = _partner(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
         return B, CaseTrace(
-            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [z.x, z.y]})
+            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [zx, zy]})
         )
 
     levels_I = sorted(profile.I)
     if len(levels_I) == t_exp:
-        B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
+        B = _partner(q, ((0, y) for y in _span_digits(q, levels_I)))
         return B, CaseTrace(
             "T2S-pt", "IFull", _verify_spectrum(A, B, profile, "T2S-pt", {"I": levels_I})
         )
@@ -185,22 +204,17 @@ def spectrum_from_tile(
     case, payload = _tile_spectrum_case(q, profile, profile_T, levels_I, levels_J)
     if case == "Case2":
         d, b_k = payload["d"], payload["b_k"]
-        B = GroupSet.from_elements(
-            q,
-            (
-                ((s0 * d) % q.p, s0 * q.p**b_k + y)
-                for s0 in range(q.p)
-                for y in _span_digits(q, levels_I)
-            ),
+        span = _span_digits(q, levels_I)
+        B = _partner(
+            q, ((s0 * d % q.p, s0 * q.p**b_k + y) for s0 in range(q.p) for y in span)
         )
         witnesses = {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
         return B, CaseTrace(
             "T2S-pt", "Case2", _verify_spectrum(A, B, profile, "T2S-pt Case2", witnesses)
         )
     if case == "Case3":
-        B = GroupSet.from_elements(
-            q, ((s0, y) for s0 in range(q.p) for y in _span_digits(q, levels_I))
-        )
+        span = _span_digits(q, levels_I)
+        B = _partner(q, ((s0, y) for s0 in range(q.p) for y in span))
         witnesses = {"I": levels_I, "J": levels_J}
         return B, CaseTrace(
             "T2S-pt", "Case3", _verify_spectrum(A, B, profile, "T2S-pt Case3", witnesses)
@@ -367,9 +381,8 @@ def _build_complement(
     levels_I = sorted(profile.I)
     if len(levels_I) == s:
         positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
-        T = GroupSet.from_elements(
-            q, ((x, y) for x in range(q.p) for y in _span_digits(q, positions))
-        )
+        span = _span_digits(q, positions)
+        T = _partner(q, ((x, y) for x in range(q.p) for y in span))
         _verify_complement(A, T, "S2T-ps Case1")
         return T, CaseTrace("S2T-ps", "Case1", {"I": levels_I})
     if len(levels_I) != s - 1:
@@ -392,7 +405,7 @@ def _build_complement(
 
     if len(levels_J) == s - 1:
         positions = [i for i in range(q.n) if i not in profile_B.I]
-        T = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, positions)))
+        T = _partner(q, ((0, y) for y in _span_digits(q, positions)))
         _verify_complement(A, T, "S2T-ps Case2")
         return T, CaseTrace("S2T-ps", "Case2", {"I": levels_I, "J": levels_J})
     if len(levels_J) != s:
@@ -409,9 +422,8 @@ def _build_complement(
         )
     c, pair = _case3_witness(q, B, j0)
     positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
-    T = GroupSet.from_elements(
-        q,
-        (((-c * _digit(y, j0, q.p)) % q.p, y) for y in _span_digits(q, positions)),
+    T = _partner(
+        q, (((-c * _digit(y, j0, q.p)) % q.p, y) for y in _span_digits(q, positions))
     )
     _verify_complement(A, T, "S2T-ps Case3")
     return T, CaseTrace(
@@ -428,27 +440,26 @@ def _digit(y: int, pos: int, p: int) -> int:
 def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[GroupSet, CaseTrace]:
     q = params
     if profile.has_unit_axis:
-        T = GroupSet.from_elements(q, ((0, y) for y in range(q.pn)))
+        T = _partner(q, ((0, y) for y in range(q.pn)))
         return T, CaseTrace("S2T-p", "Case1")
     if profile.I:
         level = min(profile.I)
         positions = [i for i in range(q.n) if i != q.n - 1 - level]
-        T = GroupSet.from_elements(
-            q, ((x, y) for x in range(q.p) for y in _span_digits(q, positions))
-        )
+        span = _span_digits(q, positions)
+        T = _partner(q, ((x, y) for x in range(q.p) for y in span))
         return T, CaseTrace("S2T-p", "Case2", {"level": level})
-    mixed = sorted(
+    # the mixed zero (c, p^i) of lowest element index c * p^n + p^i
+    rep = min(
         (r for r in profile.reps if r.kind == "mixed"),
-        key=lambda r: r.element(q).index,
+        key=lambda r: r.c * q.pn + q.p**r.i,
+        default=None,
     )
-    if not mixed:
+    if rep is None:
         raise InvalidInputError("zero set is empty; a nontrivial spectral set cannot have one")
-    rep = mixed[0]
     c, level = rep.c, rep.i
     cinv = pow(c, -1, q.p)
-    T = GroupSet.from_elements(
-        q,
-        (((-cinv * _digit(y, q.n - 1 - level, q.p)) % q.p, y) for y in range(q.pn)),
+    T = _partner(
+        q, (((-cinv * _digit(y, q.n - 1 - level, q.p)) % q.p, y) for y in range(q.pn))
     )
     return T, CaseTrace("S2T-p", "Case3", {"c": c, "level": level})
 

@@ -6,7 +6,12 @@ A subset is a bitmap over the linear indices
     index(x, y) = x * p^n + y,
 
 so membership, translation, and difference sets are word operations on a
-single Python integer.  The inner product used throughout is
+single Python integer.  Up to order 32, the largest a sweep visits, the
+difference set A - A is read from per-group tables: the bitmap is cut
+into 4-bit chunks and one 256-entry table per pair of chunks holds the
+differences between their two nibbles, so A - A is the OR of at most 36
+lookups.  Above order 32 it is the OR of the |A| translates A - a.  The
+inner product used throughout is
 
     <u, v> = p^(n-1) * u.x * v.x + u.y * v.y   (mod p^n),
 
@@ -29,12 +34,18 @@ from .errors import CapacityError, ParameterError
 # on 2-element sets; a bitmap here is a 2 MB integer.
 DEFAULT_ORDER_LIMIT = 2**24
 
-# profile_key's byte tables are only built for groups this small, the
-# largest sweep order: at most 4 tables of 256 packed counts.  Single-set
-# operations count residues instead.
+# profile_key's and difference_mask's tables are only built for groups
+# this small, the largest sweep order: at most 4 tables of 256 packed
+# counts and 36 of 256 difference bitmaps.  Single-set operations count
+# residues and shift bitmaps instead.
 _PROFILE_KEY_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
+# Width of the mask chunks difference_mask's tables are indexed by: one
+# table of 2^(2 * _DIFF_CHUNK) entries per pair of chunks, so at most 36
+# tables of 256 entries up to order 32.  Byte chunks would need 65,536
+# entries per pair.
+_DIFF_CHUNK = 4
 # Below this order the translation rotation masks are prebuilt as lists
 # (the enumeration hot path); above it each translation builds its own.
 _EAGER_TABLE_LIMIT = 4096
@@ -349,8 +360,14 @@ def scale_translate(A: GroupSet, a: int, g: Element) -> GroupSet:
 
 
 def difference_set(A: GroupSet) -> GroupSet:
-    """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty."""
+    """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty.
+
+    Up to order 32 (the sweep limit) it is GroupTables.difference_mask's
+    table lookups; above that, the OR of the |A| translates A - a.
+    """
     t = group_tables(A.params)
+    if t.order <= _PROFILE_KEY_LIMIT:
+        return GroupSet(A.params, t.difference_mask(A.mask))
     out = 0
     for idx in A.indices():
         out |= t.translate_mask(A.mask, t.neg_index(idx))
@@ -385,8 +402,8 @@ class GroupTables:
 
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "reps", "rep_count", "rep_elem_index", "_class_masks",
-        "_key_tables", "_rot_keep", "_rot_move",
+        "reps", "rep_count", "rep_elem_index", "_units", "_class_masks",
+        "_key_tables", "_diff_tables", "_rot_keep", "_rot_move",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -410,8 +427,10 @@ class GroupTables:
         self.rep_count = len(reps)
         self.rep_elem_index = [r.element(params).index for r in reps]
 
+        self._units = None
         self._class_masks = None
         self._key_tables = None
+        self._diff_tables = None
         if order <= _EAGER_TABLE_LIMIT:
             keep, move = [0], [0]
             for gy in range(1, pn):
@@ -433,6 +452,13 @@ class GroupTables:
             k |= k << (blocks * self.pn)
             blocks *= 2
         return k & self.full_mask
+
+    @property
+    def units(self) -> list[int]:
+        """The units of Z_{p^n}, ascending, as GroupParams.units lists them."""
+        if self._units is None:
+            self._units = self.params.units()
+        return self._units
 
     @property
     def class_masks(self) -> list[int]:
@@ -479,6 +505,61 @@ class GroupTables:
         masks = [(1 << rid, (field_low << w * rid * pn) * ((1 << w) - 1))
                  for rid in range(self.rep_count)]
         return tables, masks
+
+    def _build_diff_tables(self) -> tuple:
+        """The chunk offsets of a mask, and one 256-entry table per pair of
+        4-bit chunks i <= j, listed as (table, i, j).
+
+        Entry u << 4 | v of pair (i, j) is the bitmap of a - b and b - a
+        over a in nibble u of chunk i and b in nibble v of chunk j; it is
+        the OR of the entries for the lowest bit of u (or of v) and for the
+        rest, so each entry costs one OR.
+        """
+        if self.order > _PROFILE_KEY_LIMIT:
+            raise CapacityError(
+                f"difference tables are only built up to order {_PROFILE_KEY_LIMIT}; "
+                f"got {self.order}"
+            )
+        order, w, sub = self.order, _DIFF_CHUNK, self.sub_index
+        side = 1 << w
+        starts = range(0, order, w)
+        tables = []
+        for i, base_i in enumerate(starts):
+            for j, base_j in enumerate(starts[i:], i):
+                table = [0] * side * side
+                for u in range(1, side):
+                    for v in range(1, side):
+                        if u & (u - 1):
+                            low = u & -u
+                            entry = table[low << w | v] | table[(u ^ low) << w | v]
+                        elif v & (v - 1):
+                            low = v & -v
+                            entry = table[u << w | low] | table[u << w | (v ^ low)]
+                        else:
+                            a = base_i + u.bit_length() - 1
+                            b = base_j + v.bit_length() - 1
+                            entry = 1 << sub(a, b) | 1 << sub(b, a) if max(a, b) < order else 0
+                        table[u << w | v] = entry
+                tables.append((table, i, j))
+        return list(starts), tables
+
+    def difference_mask(self, mask: int) -> int:
+        """Bitmap of A - A = {a - b : a, b in A} for the set with this mask.
+
+        The OR over every pair of 4-bit chunks i <= j of one table lookup,
+        indexed by the two nibbles: 28 lookups at order 25, 36 at order 32.
+        Groups above order 32 are refused with CapacityError.
+        """
+        if self._diff_tables is None:
+            self._diff_tables = self._build_diff_tables()
+        starts, tables = self._diff_tables
+        w = _DIFF_CHUNK
+        chunk = (1 << w) - 1
+        nibbles = [mask >> s & chunk for s in starts]
+        out = 0
+        for table, i, j in tables:
+            out |= table[nibbles[i] << w | nibbles[j]]
+        return out
 
     def neg_index(self, idx: int) -> int:
         x, y = divmod(idx, self.pn)

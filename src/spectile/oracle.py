@@ -13,13 +13,16 @@ enumerate_and_check sweeps a whole group (optionally restricted to given
 cardinalities), decides tile and spectral for every subset by the oracles,
 cross-checks the constructive algorithms on every positive, and reports
 any disagreement.  Both verdicts are memoized: the spectral one on the
-zero profile and |A|, the tile one on A - A and |A|.  The canonical
-filter is canonicalize's orbit scan, stopped at the first smaller image.
-Work is split into shards whose merge is independent of the shard count,
-so reports are byte-identical however the sweep is partitioned: a full
-sweep gives each shard a contiguous range of bitmaps, a size-filtered one
-every shard_n-th block of contiguous colex ranks of each size, walked by
-Gosper's successor.
+zero profile and |A|, the tile one on A - A and |A|, since A tiles with
+T exactly when |A||T| = |G| and the two difference sets meet only at 0.
+Both keys are table lookups: the profile from per-byte packed counts,
+A - A from per-nibble-pair difference bits (GroupTables.difference_mask).
+The canonical filter is canonicalize's orbit scan, stopped at the first
+smaller image.  Work is split into shards whose merge is independent of
+the shard count, so reports are byte-identical however the sweep is
+partitioned: every shard takes every shard_n-th block of _SHARD_BLOCK
+consecutive bitmaps (a full sweep) or colex ranks of each size (a
+size-filtered one, walked by Gosper's successor).
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ ENUM_FILTERED_LIMIT = 32
 ENUM_SUBSET_BUDGET = 2**27
 # More shards than this are refused before any work list is built.
 ENUM_SHARD_LIMIT = 1024
-# Colex ranks per block of a size-filtered sweep.  Blocks go to the shards
-# round-robin, not as one range each: orbit minima are the smallest
-# bitmaps, so a canonical sweep's expensive sets crowd the lowest ranks.
+# Bitmaps (or colex ranks, in a size-filtered sweep) per block of a shard's
+# work.  Blocks go to the shards round-robin, not as one range each: orbit
+# minima are the smallest bitmaps, so a canonical sweep's expensive sets
+# crowd the lowest ones.
 _SHARD_BLOCK = 256
 
 
@@ -286,7 +290,7 @@ def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
     minimum; the sweep's canonical filter needs only that answer.
     """
     best = mask
-    for a in t.params.units():
+    for a in t.units:
         base = mask if a == 1 else t.scale_mask(mask, a)
         for g in range(a == 1, t.order):  # a = 1, g = 0 maps mask to itself
             img = t.translate_mask(base, g)
@@ -436,6 +440,7 @@ def _run_shard(args: tuple) -> tuple:
     spectral = 0
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
+    difference_mask = t.difference_mask
 
     def as_mask(idxs: list[int] | None) -> int:
         return 0 if idxs is None else sum(bits[i] for i in idxs)
@@ -469,8 +474,7 @@ def _run_shard(args: tuple) -> tuple:
         tmask = 0
         if order % k == 0:
             tile_lookups += 1
-            dmask = difference_set(GroupSet(params, mask)).mask
-            tkey = dmask * (order + 1) + k
+            tkey = difference_mask(mask) * (order + 1) + k
             tmask = tmemo.get(tkey, -1)
             if tmask == -1:
                 tmask = tmemo[tkey] = as_mask(_find_cover(t, mask))
@@ -527,10 +531,9 @@ def _run_shard(args: tuple) -> tuple:
 
     if sizes is None:
         total = 1 << order
-        lo = total * shard_i // shard_n
-        hi = total * (shard_i + 1) // shard_n
-        for mask in range(lo, hi):
-            process(mask, mask.bit_count())
+        for lo in range(shard_i * _SHARD_BLOCK, total, shard_n * _SHARD_BLOCK):
+            for mask in range(lo, min(lo + _SHARD_BLOCK, total)):
+                process(mask, mask.bit_count())
     else:
         for k in sizes:
             for mask in _k_subsets(order, k, shard_i, shard_n):
@@ -555,7 +558,7 @@ def enumerate_and_check(
     With a size_filter, only subsets of the listed cardinalities are
     examined: the colex ranks of each size are cut into blocks of
     contiguous ranks, dealt round-robin to the shards.  Without one, all
-    2^|G| bitmaps are split into contiguous ranges.  Per subset: both
+    2^|G| bitmaps are cut into blocks the same way.  Per subset: both
     oracle verdicts, the divisibility check on the zero profile, the
     cardinality obstruction, the pigeonhole bound, and a full construction
     round trip on every tile and every spectral set.  Counts merge by

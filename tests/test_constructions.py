@@ -6,6 +6,7 @@ from spectile import (
     GroupSet,
     InvalidInputError,
     NonSpectralSizeError,
+    ParameterError,
     complement_from_spectrum,
     find_complement_bruteforce,
     find_spectrum_bruteforce,
@@ -432,3 +433,50 @@ class TestProfileReuse:
         calls.clear()
         assert complement_from_spectrum(A, B, profile=profile) == (T, trace)
         assert calls == []
+
+
+class TestPartnerBuilder:
+    def test_out_of_range_pair_refused(self):
+        # a pair off the grid is refused, not wrapped into another index
+        for pair in ((0, P22.pn), (P22.p, 0), (0, -1)):
+            with pytest.raises(ParameterError):
+                constructions._partner(P22, [(0, 0), pair])
+
+
+class TestConstructionDigest:
+    # sha256 over every partner and CaseTrace the sweeps below construct,
+    # sorted so that visiting order does not matter; any change to a
+    # partner mask, a branch or a witness fails here
+    DIGESTS = {
+        (2, 3, None): "5119c42eff8ea7411f0b8234b4fb4c64e70bfec5ce1d09a0a3af845a045b5af8",
+        (5, 1, (5,)): "e5927cfacc567af27eb26e2fb7c71a69af0d610551e74bb39f36ca0842d11187",
+    }
+
+    @pytest.mark.parametrize("p, n, sizes", list(DIGESTS), ids=["Z2xZ8", "Z5xZ5-size5"])
+    def test_partners_and_traces_pinned(self, p, n, sizes, monkeypatch):
+        import hashlib
+        import json
+
+        from spectile import enumerate_and_check
+
+        records = []
+
+        def recording(fn):
+            def wrapper(A, partner, **kwargs):
+                built, trace = fn(A, partner, **kwargs)
+                records.append(json.dumps(
+                    [fn.__name__, A.mask, partner.mask, built.mask,
+                     trace.theorem, trace.case, trace.witnesses],
+                    sort_keys=True,
+                ))
+                return built, trace
+
+            return wrapper
+
+        for name in ("spectrum_from_tile", "complement_from_spectrum"):
+            monkeypatch.setattr(constructions, name, recording(getattr(constructions, name)))
+        report = enumerate_and_check(GroupParams(p, n), sizes, shards=1)
+        assert report.mismatches == []
+        assert len(records) == report.tiles + report.spectral
+        digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
+        assert digest == self.DIGESTS[p, n, sizes]

@@ -294,6 +294,25 @@ class TestEnumerate:
         assert reports[0].canonical_json() == reports[1].canonical_json()
         assert reports[0].canonical_json() == reports[2].canonical_json()
 
+    @pytest.mark.parametrize("canonical", [False, True], ids=["plain", "canonical"])
+    @pytest.mark.parametrize(
+        "q, shard_sizes",
+        [
+            # 2^8 bitmaps are one block: every subset lands in shard 0
+            (P22, [256, 0, 0]),
+            # 2^16 bitmaps make 256 blocks, dealt 86/85/85
+            (GroupParams(2, 3), [86 * 256, 85 * 256, 85 * 256]),
+        ],
+        ids=["z2z4", "z2z8"],
+    )
+    def test_full_sweep_deals_blocks_round_robin(self, q, shard_sizes, canonical):
+        reports = [enumerate_and_check(q, use_canonical=canonical, shards=s) for s in (1, 2, 3)]
+        assert [n for n, _ in reports[2].shard_stats] == shard_sizes
+        for r in reports[1:]:
+            assert r.canonical_json() == reports[0].canonical_json()
+            for memo in ("spectral", "tile"):
+                assert r.stats[memo]["lookups"] == reports[0].stats[memo]["lookups"]
+
     def test_size_filter_counts(self):
         q = GroupParams(3, 1)
         report = enumerate_and_check(q, size_filter=[3, 6])
