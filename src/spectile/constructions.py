@@ -19,9 +19,8 @@ from .errors import (
     InvalidInputError,
     MissingPartnerError,
     NonSpectralSizeError,
-    ParameterError,
 )
-from .group import ClassRep, GroupParams, GroupSet, _mask_of, _require_same_params, _split_p
+from .group import ClassRep, GroupParams, GroupSet, _require_same_params, _split_p
 from .oracle import (
     ORACLE_ORDER_LIMIT,
     _spectral_violation,
@@ -66,24 +65,6 @@ def nonspectral_size_witness(A: GroupSet) -> SizeObstruction | None:
 
 # ---------------------------------------------------------------------------
 # Shared builders
-
-
-def _partner(params: GroupParams, pairs) -> GroupSet:
-    """The set of the (x, y) pairs, built as one index mask.
-
-    A pair out of range, which only a non-genuine case split can produce,
-    is refused with ParameterError rather than wrapped into another index.
-    """
-    p, pn = params.p, params.pn
-    idxs = [
-        x * pn + y if 0 <= x < p and 0 <= y < pn else _out_of_range(params, x, y)
-        for x, y in pairs
-    ]
-    return GroupSet(params, _mask_of(params.order, idxs))
-
-
-def _out_of_range(params: GroupParams, x: int, y: int):
-    raise ParameterError(f"element ({x}, {y}) out of range for p={params.p}, n={params.n}")
 
 
 def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
@@ -172,14 +153,14 @@ def spectrum_from_tile(
         if profile.is_empty():
             raise InvalidInputError("zero set is empty; a nontrivial tile cannot have one")
         zx, zy = divmod(min(_lowest_index(q, r) for r in profile.reps), q.pn)
-        B = _partner(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
+        B = GroupSet.from_elements(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
         return B, CaseTrace(
             "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [zx, zy]})
         )
 
     levels_I = sorted(profile.I)
     if len(levels_I) == t_exp:
-        B = _partner(q, ((0, y) for y in _span_digits(q, levels_I)))
+        B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
         return B, CaseTrace(
             "T2S-pt", "IFull", _verify_spectrum(A, B, profile, "T2S-pt", {"I": levels_I})
         )
@@ -205,7 +186,7 @@ def spectrum_from_tile(
     if case == "Case2":
         d, b_k = payload["d"], payload["b_k"]
         span = _span_digits(q, levels_I)
-        B = _partner(
+        B = GroupSet.from_elements(
             q, ((s0 * d % q.p, s0 * q.p**b_k + y) for s0 in range(q.p) for y in span)
         )
         witnesses = {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
@@ -214,7 +195,7 @@ def spectrum_from_tile(
         )
     if case == "Case3":
         span = _span_digits(q, levels_I)
-        B = _partner(q, ((s0, y) for s0 in range(q.p) for y in span))
+        B = GroupSet.from_elements(q, ((s0, y) for s0 in range(q.p) for y in span))
         witnesses = {"I": levels_I, "J": levels_J}
         return B, CaseTrace(
             "T2S-pt", "Case3", _verify_spectrum(A, B, profile, "T2S-pt Case3", witnesses)
@@ -382,7 +363,7 @@ def _build_complement(
     if len(levels_I) == s:
         positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
         span = _span_digits(q, positions)
-        T = _partner(q, ((x, y) for x in range(q.p) for y in span))
+        T = GroupSet.from_elements(q, ((x, y) for x in range(q.p) for y in span))
         _verify_complement(A, T, "S2T-ps Case1")
         return T, CaseTrace("S2T-ps", "Case1", {"I": levels_I})
     if len(levels_I) != s - 1:
@@ -405,7 +386,7 @@ def _build_complement(
 
     if len(levels_J) == s - 1:
         positions = [i for i in range(q.n) if i not in profile_B.I]
-        T = _partner(q, ((0, y) for y in _span_digits(q, positions)))
+        T = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, positions)))
         _verify_complement(A, T, "S2T-ps Case2")
         return T, CaseTrace("S2T-ps", "Case2", {"I": levels_I, "J": levels_J})
     if len(levels_J) != s:
@@ -422,8 +403,9 @@ def _build_complement(
         )
     c, pair = _case3_witness(q, B, j0)
     positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
-    T = _partner(
-        q, (((-c * _digit(y, j0, q.p)) % q.p, y) for y in _span_digits(q, positions))
+    T = GroupSet.from_elements(
+        q,
+        (((-c * _digit(y, j0, q.p)) % q.p, y) for y in _span_digits(q, positions)),
     )
     _verify_complement(A, T, "S2T-ps Case3")
     return T, CaseTrace(
@@ -440,13 +422,13 @@ def _digit(y: int, pos: int, p: int) -> int:
 def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[GroupSet, CaseTrace]:
     q = params
     if profile.has_unit_axis:
-        T = _partner(q, ((0, y) for y in range(q.pn)))
+        T = GroupSet.from_elements(q, ((0, y) for y in range(q.pn)))
         return T, CaseTrace("S2T-p", "Case1")
     if profile.I:
         level = min(profile.I)
         positions = [i for i in range(q.n) if i != q.n - 1 - level]
         span = _span_digits(q, positions)
-        T = _partner(q, ((x, y) for x in range(q.p) for y in span))
+        T = GroupSet.from_elements(q, ((x, y) for x in range(q.p) for y in span))
         return T, CaseTrace("S2T-p", "Case2", {"level": level})
     # the mixed zero (c, p^i) of lowest element index c * p^n + p^i
     rep = min(
@@ -458,8 +440,9 @@ def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[Group
         raise InvalidInputError("zero set is empty; a nontrivial spectral set cannot have one")
     c, level = rep.c, rep.i
     cinv = pow(c, -1, q.p)
-    T = _partner(
-        q, (((-cinv * _digit(y, q.n - 1 - level, q.p)) % q.p, y) for y in range(q.pn))
+    T = GroupSet.from_elements(
+        q,
+        (((-cinv * _digit(y, q.n - 1 - level, q.p)) % q.p, y) for y in range(q.pn)),
     )
     return T, CaseTrace("S2T-p", "Case3", {"c": c, "level": level})
 

@@ -6,12 +6,13 @@ A subset is a bitmap over the linear indices
     index(x, y) = x * p^n + y,
 
 so membership, translation, and difference sets are word operations on a
-single Python integer.  Up to order 32, the largest a sweep visits, the
-difference set A - A is read from per-group tables: the bitmap is cut
-into 4-bit chunks and one 256-entry table per pair of chunks holds the
-differences between their two nibbles, so A - A is the OR of at most 36
-lookups.  Above order 32 it is the OR of the |A| translates A - a.  The
-inner product used throughout is
+single Python integer.  difference_set builds A - A as the OR of the |A|
+translates A - a, at any order.  The sweep's tile memo needs A - A for
+every subset, so up to order 32, the largest a sweep visits,
+GroupTables.difference_mask reads it from per-group tables instead: the
+bitmap is cut into 4-bit chunks and one 256-entry table per pair of
+chunks holds the differences between their two nibbles, so A - A is the
+OR of at most 36 lookups.  The inner product used throughout is
 
     <u, v> = p^(n-1) * u.x * v.x + u.y * v.y   (mod p^n),
 
@@ -362,12 +363,11 @@ def scale_translate(A: GroupSet, a: int, g: Element) -> GroupSet:
 def difference_set(A: GroupSet) -> GroupSet:
     """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty.
 
-    Up to order 32 (the sweep limit) it is GroupTables.difference_mask's
-    table lookups; above that, the OR of the |A| translates A - a.
+    The OR of the |A| translates A - a, at any order.  The sweep reads
+    A - A from GroupTables.difference_mask's tables instead, which are
+    only built up to order 32.
     """
     t = group_tables(A.params)
-    if t.order <= _PROFILE_KEY_LIMIT:
-        return GroupSet(A.params, t.difference_mask(A.mask))
     out = 0
     for idx in A.indices():
         out |= t.translate_mask(A.mask, t.neg_index(idx))

@@ -60,7 +60,9 @@ ENUM_SHARD_LIMIT = 1024
 # Bitmaps (or colex ranks, in a size-filtered sweep) per block of a shard's
 # work.  Blocks go to the shards round-robin, not as one range each: orbit
 # minima are the smallest bitmaps, so a canonical sweep's expensive sets
-# crowd the lowest ones.
+# crowd the lowest ones.  This does not balance every full sweep: on Z2xZ8
+# with 2 shards, bit 8 (the element (1, 0)) is set in the odd blocks, which
+# hold almost all orbit minima, so shard 1 gets most of the work.
 _SHARD_BLOCK = 256
 
 

@@ -6,7 +6,6 @@ from spectile import (
     GroupSet,
     InvalidInputError,
     NonSpectralSizeError,
-    ParameterError,
     complement_from_spectrum,
     find_complement_bruteforce,
     find_spectrum_bruteforce,
@@ -433,14 +432,6 @@ class TestProfileReuse:
         calls.clear()
         assert complement_from_spectrum(A, B, profile=profile) == (T, trace)
         assert calls == []
-
-
-class TestPartnerBuilder:
-    def test_out_of_range_pair_refused(self):
-        # a pair off the grid is refused, not wrapped into another index
-        for pair in ((0, P22.pn), (P22.p, 0), (0, -1)):
-            with pytest.raises(ParameterError):
-                constructions._partner(P22, [(0, 0), pair])
 
 
 class TestConstructionDigest:

@@ -238,27 +238,17 @@ class TestDifferenceSet:
         assert difference_set(scale_translate(A, 1, g)) == D
 
 
-def _shift_loop_differences(q: GroupParams, mask: int) -> int:
-    # A - A as the OR of the translates A - a, the loop difference_set
-    # keeps above order 32
-    t = group_tables(q)
-    out = 0
-    for a in GroupSet(q, mask).indices():
-        out |= t.translate_mask(mask, t.neg_index(a))
-    return out
-
-
 class TestDifferenceMask:
     @pytest.mark.parametrize(
         "q", [q for q in SMALL_PARAMS if q.order <= 16], ids=lambda q: f"p{q.p}n{q.n}"
     )
-    def test_matches_shift_loop_on_every_mask(self, q):
+    def test_matches_difference_set_on_every_mask(self, q):
         t = group_tables(q)
         for mask in range(1 << q.order):
-            assert t.difference_mask(mask) == _shift_loop_differences(q, mask), mask
+            assert t.difference_mask(mask) == difference_set(GroupSet(q, mask)).mask, mask
 
     @pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (2, 4)])
-    def test_matches_shift_loop_on_seeded_masks(self, p, n):
+    def test_matches_difference_set_on_seeded_masks(self, p, n):
         # orders 25, 27 and 32: partial last chunk, and all 8 chunks with
         # the top bit 31 set in some masks
         q = GroupParams(p, n)
@@ -269,11 +259,10 @@ class TestDifferenceMask:
                   for k in range(1, q.order + 1) for _ in range(10)]
         masks += [1 << (q.order - 1), 1 | 1 << (q.order - 1), (1 << q.order) - 1]
         for mask in masks:
-            assert t.difference_mask(mask) == _shift_loop_differences(q, mask), mask
-            assert difference_set(GroupSet(q, mask)).mask == t.difference_mask(mask)
+            assert t.difference_mask(mask) == difference_set(GroupSet(q, mask)).mask, mask
 
-    def test_loop_path_above_order_32(self):
-        # order 64: no tables are built; difference_set keeps its shift loop
+    def test_tables_refused_above_order_32(self):
+        # order 64: no tables are built; difference_set needs none
         q = GroupParams(2, 5)
         with pytest.raises(CapacityError):
             group_tables(q).difference_mask(1)
