@@ -9,7 +9,6 @@ coincide on small groups.
 
 from .charsum import (
     CyclotomicInt,
-    SliceCounts,
     ZeroProfile,
     ZeroTestComparison,
     char_value_exact,
@@ -17,7 +16,6 @@ from .charsum import (
     compare_zero_tests,
     inversion_check,
     is_zero_equidist,
-    slice_counts,
     zero_set,
 )
 from .constructions import (
@@ -45,7 +43,6 @@ from .group import (
     canonical_rep,
     class_members,
     difference_set,
-    digits,
     inner_product,
     scale_translate,
     valuation,
@@ -90,7 +87,6 @@ __all__ = [
     "ParseError",
     "SizeClass",
     "SizeObstruction",
-    "SliceCounts",
     "SpectileError",
     "ZeroProfile",
     "ZeroTestComparison",
@@ -103,7 +99,6 @@ __all__ = [
     "compare_zero_tests",
     "complement_from_spectrum",
     "difference_set",
-    "digits",
     "divisibility_exponent",
     "enumerate_and_check",
     "find_complement_bruteforce",
@@ -118,7 +113,6 @@ __all__ = [
     "save_set",
     "scale_translate",
     "serialize_set",
-    "slice_counts",
     "spectral_pair_violation",
     "spectrum_from_tile",
     "tiling_pair_violation",

@@ -32,34 +32,16 @@ from .group import (
 )
 
 
-@dataclass(frozen=True)
-class SliceCounts:
-    """Counts |{a in A : <a, u> = t}| for t = 0 .. p^n - 1."""
-
-    u: Element
-    counts: tuple[int, ...]
-
-
 def _coordinates(A: GroupSet) -> list[tuple[int, int]]:
     """The (x, y) pairs of A, ascending; extracted once per set."""
     pn = A.params.pn
     return [divmod(i, pn) for i in A.indices()]
 
 
-def _slice_tally(params: GroupParams, pairs, ux: int, uy: int) -> dict[int, int]:
-    """Nonzero counts |{a : <a, u> = t}| for u = (ux, uy), keyed by t."""
-    pn = params.pn
-    w = pn // params.p * ux
-    tally: dict[int, int] = {}
-    for x, y in pairs:
-        t = (w * x + uy * y) % pn
-        tally[t] = tally.get(t, 0) + 1
-    return tally
-
-
 def _slices_equal(params: GroupParams, pairs, ux: int, uy: int) -> bool:
     """The slice-count criterion for the character at u = (ux, uy).
 
+    The slice counts are |{a : <a, u> = t}|, tallied for the t that occur.
     Stepping t -> t + p^(n-1) cycles through the p slices of one residue
     class mod p^(n-1), so it suffices that every occurring t has the same
     count as its successor; classes that never occur are all zero.  Cost
@@ -67,17 +49,15 @@ def _slices_equal(params: GroupParams, pairs, ux: int, uy: int) -> bool:
     """
     pn = params.pn
     step = pn // params.p
-    tally = _slice_tally(params, pairs, ux, uy)
+    w = step * ux
+    tally: dict[int, int] = {}
+    for x, y in pairs:
+        t = (w * x + uy * y) % pn
+        tally[t] = tally.get(t, 0) + 1
     for t, count in tally.items():
         if tally.get((t + step) % pn) != count:
             return False
     return True
-
-
-def slice_counts(A: GroupSet, u: Element) -> SliceCounts:
-    _require_same_params(A.params, u.params)
-    tally = _slice_tally(A.params, _coordinates(A), u.x, u.y)
-    return SliceCounts(u, tuple(tally.get(t, 0) for t in range(A.params.pn)))
 
 
 def is_zero_equidist(A: GroupSet, u: Element) -> bool:

@@ -25,7 +25,7 @@ those representatives index the unit-equivalence classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import CapacityError, ParameterError
@@ -86,12 +86,12 @@ class GroupParams:
                 f"limit {DEFAULT_ORDER_LIMIT}"
             )
 
-    @property
+    @cached_property
     def pn(self) -> int:
         """Order p^n of the second factor."""
         return self.p**self.n
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Group order p^(n+1)."""
         return self.p ** (self.n + 1)
@@ -301,17 +301,6 @@ def inner_product(u: Element, v: Element) -> int:
     _require_same_params(u.params, v.params)
     q = u.params
     return (q.p ** (q.n - 1) * u.x * v.x + u.y * v.y) % q.pn
-
-
-def digits(t: int, p: int, m: int) -> tuple[int, ...]:
-    """Base-p digits (t[0], ..., t[m-1]) of t, least significant first."""
-    if not 0 <= t < p**m:
-        raise ParameterError(f"t={t} out of range [0, {p}^{m})")
-    out = []
-    for _ in range(m):
-        t, d = divmod(t, p)
-        out.append(d)
-    return tuple(out)
 
 
 def _split_p(t: int, p: int) -> tuple[int, int]:

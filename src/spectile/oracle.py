@@ -9,20 +9,21 @@ cover by translates, normalized so the cover always uses the translate by
 ascending index order.  Both searches keep an explicit stack, so their
 depth is bounded by the group order, not by the recursion limit.
 
-enumerate_and_check sweeps a whole group (optionally restricted to given
-cardinalities), decides tile and spectral for every subset by the oracles,
-cross-checks the constructive algorithms on every positive, and reports
-any disagreement.  Both verdicts are memoized: the spectral one on the
-zero profile and |A|, the tile one on A - A and |A|, since A tiles with
-T exactly when |A||T| = |G| and the two difference sets meet only at 0.
-Both keys are table lookups: the profile from per-byte packed counts,
-A - A from per-nibble-pair difference bits (GroupTables.difference_mask).
+enumerate_and_check sweeps the subsets of the given cardinalities (all
+of them by default), decides tile and spectral for every subset by the
+oracles, cross-checks the constructive algorithms on every positive, and
+reports any disagreement.  Both verdicts are memoized: the spectral one
+on the zero profile and |A|, the tile one on A - A and |A|, since A tiles
+with T exactly when |A||T| = |G| and the two difference sets meet only
+at 0.  Both keys are table lookups: the profile from per-byte packed
+counts, A - A from per-nibble-pair difference bits
+(GroupTables.difference_mask).
 The canonical filter is canonicalize's orbit scan, stopped at the first
 smaller image.  Work is split into shards whose merge is independent of
 the shard count, so reports are byte-identical however the sweep is
-partitioned: every shard takes every shard_n-th block of _SHARD_BLOCK
-consecutive bitmaps (a full sweep) or colex ranks of each size (a
-size-filtered one, walked by Gosper's successor).
+partitioned: the colex ranks of each size are cut into blocks of
+_SHARD_BLOCK, walked by Gosper's successor, and the blocks of all sizes,
+numbered in one sequence, are dealt round-robin to the shards.
 """
 
 from __future__ import annotations
@@ -50,19 +51,17 @@ from .structure import classify_size, divisibility_exponent
 
 # Largest group order accepted by the per-set searches.
 ORACLE_ORDER_LIMIT = 2**16
-# Full power-set sweeps are allowed up to this order ...
-ENUM_FULL_LIMIT = 27
-# ... and size-filtered sweeps up to this order, within a subset budget.
+# Every sweep is size-filtered (a full power-set sweep filters on every
+# size) and allowed up to this order, within a subset budget.
 ENUM_FILTERED_LIMIT = 32
 ENUM_SUBSET_BUDGET = 2**27
 # More shards than this are refused before any work list is built.
 ENUM_SHARD_LIMIT = 1024
-# Bitmaps (or colex ranks, in a size-filtered sweep) per block of a shard's
-# work.  Blocks go to the shards round-robin, not as one range each: orbit
-# minima are the smallest bitmaps, so a canonical sweep's expensive sets
-# crowd the lowest ones.  This does not balance every full sweep: on Z2xZ8
-# with 2 shards, bit 8 (the element (1, 0)) is set in the odd blocks, which
-# hold almost all orbit minima, so shard 1 gets most of the work.
+# Colex ranks of one size per block of a shard's work.  Blocks go to the
+# shards round-robin, not as one range each: orbit minima are the smallest
+# bitmaps, so a canonical sweep's expensive sets crowd the lowest ranks.
+# Blocks are numbered across the sizes in turn, so the small sizes (one
+# block or a few, dense in minima) do not all land on shard 0.
 _SHARD_BLOCK = 256
 
 
@@ -146,21 +145,22 @@ def verify_tiling_pair(A: GroupSet, T: GroupSet) -> bool:
 # Brute-force searches
 
 
-def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
-    """First size-k clique through vertex 0, in lexicographic branch order.
+def _find_clique(t: GroupTables, zmask: int, k: int) -> int | None:
+    """First size-k clique through vertex 0, as a bitmap.
 
-    Vertices are element indices; u and v are adjacent iff u - v lies in
-    zmask.  Restricting to cliques containing 0 loses nothing because the
-    edge relation is translation invariant.  The search keeps its own
-    stack, so its depth is not bounded by the interpreter's recursion limit.
+    Vertices are element indices, branched on in lexicographic order; u
+    and v are adjacent iff u - v lies in zmask.  Restricting to cliques
+    containing 0 loses nothing because the edge relation is translation
+    invariant.  The search keeps its own stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     if k <= 0:
         return None
     if k == 1:
-        return [0]
+        return 1
     translate = t.translate_mask
     nbr_cache: dict[int, int] = {}
-    chosen = [0]
+    chosen = [1]  # the bits of the chosen vertices
     cands = [zmask]  # per depth: untried vertices adjacent to chosen, above its last
     while cands:
         cand = cands[-1]
@@ -172,10 +172,10 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
         b = cand & -cand
         cand ^= b
         cands[-1] = cand
-        v = b.bit_length() - 1
-        chosen.append(v)
+        chosen.append(b)
         if need == 1:
-            return chosen
+            return sum(chosen)
+        v = b.bit_length() - 1
         nbr = nbr_cache.get(v)
         if nbr is None:
             nbr = nbr_cache[v] = translate(zmask, v)
@@ -183,8 +183,8 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> list[int] | None:
     return None
 
 
-def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
-    """Translation indices g with disjoint translates mask+g covering the group.
+def _find_cover(t: GroupTables, mask: int) -> int | None:
+    """Bitmap of the g with disjoint translates mask+g covering the group.
 
     The translate by 0 is always used (any tiling complement can be
     translated to contain 0).  Cell selection is first-fail: the uncovered
@@ -195,7 +195,7 @@ def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
         return None
     full = t.full_mask
     if mask == full:
-        return [0]
+        return 1
     idxs = GroupSet(t.params, mask).indices()
     translate = t.translate_mask
     sub = t.sub_index
@@ -227,21 +227,20 @@ def _find_cover(t: GroupTables, mask: int) -> list[int] | None:
         best.sort(reverse=True)
         return best
 
-    # one frame per pick, on an explicit stack: (cover so far, untried translates)
-    picks = [0]
-    stack = [(mask, branches(mask))]
+    # one frame per pick, on an explicit stack: (cover so far, picks so far,
+    # untried translates)
+    stack = [(mask, 1, branches(mask))]
     while stack:
-        cover, todo = stack[-1]
+        cover, picks, todo = stack[-1]
         if not todo:
             stack.pop()
-            picks.pop()
             continue
         g = todo.pop()
-        picks.append(g)
         cover |= trans_cache[g]
+        picks |= 1 << g
         if cover == full:
-            return sorted(picks)
-        stack.append((cover, branches(cover)))
+            return picks
+        stack.append((cover, picks, branches(cover)))
     return None
 
 
@@ -266,7 +265,7 @@ def find_spectrum_bruteforce(A: GroupSet) -> GroupSet | None:
     clique = _find_clique(t, zmask, A.cardinality)
     if clique is None:
         return None
-    return GroupSet.from_indices(A.params, clique)
+    return GroupSet(A.params, clique)
 
 
 def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
@@ -277,7 +276,7 @@ def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
     cover = _find_cover(group_tables(A.params), A.mask)
     if cover is None:
         return None
-    return GroupSet.from_indices(A.params, cover)
+    return GroupSet(A.params, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +387,10 @@ def _unrank_colex(order: int, k: int, rank: int) -> int:
 def _k_subsets(order: int, k: int, shard_i: int, shard_n: int):
     """Shard shard_i's k-subsets of range(order), as bitmaps in colex order.
 
-    The C(order, k) colex ranks are cut into blocks of _SHARD_BLOCK, dealt
-    round-robin to the shards.  Each block's first bitmap is unranked once
-    and the rest follow by Gosper's successor (the next larger integer with
-    the same bit count).
+    The C(order, k) colex ranks are cut into blocks of _SHARD_BLOCK, and
+    the shard takes blocks shard_i, shard_i + shard_n, ...  Each block's
+    first bitmap is unranked once and the rest follow by Gosper's
+    successor (the next larger integer with the same bit count).
     """
     total = comb(order, k)
     for lo in range(shard_i * _SHARD_BLOCK, total, shard_n * _SHARD_BLOCK):
@@ -418,7 +417,6 @@ def _run_shard(args: tuple) -> tuple:
     full = t.full_mask
     all_reps = (1 << t.rep_count) - 1
     pn = t.pn
-    bits = [1 << i for i in range(order)]
 
     witness_sizes = frozenset(
         k for k in range(1, order + 1) if classify_size(k, params).kind == "mixed"
@@ -443,9 +441,6 @@ def _run_shard(args: tuple) -> tuple:
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
     difference_mask = t.difference_mask
-
-    def as_mask(idxs: list[int] | None) -> int:
-        return 0 if idxs is None else sum(bits[i] for i in idxs)
 
     def process(mask: int, k: int) -> None:
         nonlocal examined, orbits, empties, tile_lookups, tiles, spectral
@@ -472,14 +467,14 @@ def _run_shard(args: tuple) -> tuple:
         skey = pkey * (order + 1) + k
         bmask = smemo.get(skey, -1)
         if bmask == -1:
-            bmask = smemo[skey] = as_mask(_find_clique(t, zmask, k))
+            bmask = smemo[skey] = _find_clique(t, zmask, k) or 0
         tmask = 0
         if order % k == 0:
             tile_lookups += 1
             tkey = difference_mask(mask) * (order + 1) + k
             tmask = tmemo.get(tkey, -1)
             if tmask == -1:
-                tmask = tmemo[tkey] = as_mask(_find_cover(t, mask))
+                tmask = tmemo[tkey] = _find_cover(t, mask) or 0
         sp = bmask != 0
         tl = tmask != 0
         if tl:
@@ -531,15 +526,11 @@ def _run_shard(args: tuple) -> tuple:
                         Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
                     )
 
-    if sizes is None:
-        total = 1 << order
-        for lo in range(shard_i * _SHARD_BLOCK, total, shard_n * _SHARD_BLOCK):
-            for mask in range(lo, min(lo + _SHARD_BLOCK, total)):
-                process(mask, mask.bit_count())
-    else:
-        for k in sizes:
-            for mask in _k_subsets(order, k, shard_i, shard_n):
-                process(mask, k)
+    first = 0  # sweep-wide number of the current size's first block
+    for k in sizes:
+        for mask in _k_subsets(order, k, (shard_i - first) % shard_n, shard_n):
+            process(mask, k)
+        first += -(-comb(order, k) // _SHARD_BLOCK)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
     memo_stats = (spectral_lookups, len(smemo), tile_lookups, len(tmemo))
@@ -557,16 +548,17 @@ def enumerate_and_check(
 ) -> EnumerationReport:
     """Decide tile and spectral for every subset and cross-check everything.
 
-    With a size_filter, only subsets of the listed cardinalities are
-    examined: the colex ranks of each size are cut into blocks of
-    contiguous ranks, dealt round-robin to the shards.  Without one, all
-    2^|G| bitmaps are cut into blocks the same way.  Per subset: both
+    Only subsets of the cardinalities in size_filter are examined (all
+    sizes 0..|G| without one, the full power set): the colex ranks of each
+    size are cut into blocks of contiguous ranks, and the blocks of all
+    sizes in turn are dealt round-robin to the shards.  Per subset: both
     oracle verdicts, the divisibility check on the zero profile, the
     cardinality obstruction, the pigeonhole bound, and a full construction
     round trip on every tile and every spectral set.  Counts merge by
     addition and mismatches sort by (mask, kind), so the report does not
-    depend on the shard decomposition.  More than ENUM_SHARD_LIMIT shards
-    are refused with CapacityError.
+    depend on the shard decomposition.  Groups above order
+    ENUM_FILTERED_LIMIT, sweeps of more than ENUM_SUBSET_BUDGET subsets and
+    more than ENUM_SHARD_LIMIT shards are refused with CapacityError.
     """
     start = time.perf_counter()
     if shards < 1:
@@ -574,28 +566,19 @@ def enumerate_and_check(
     if shards > ENUM_SHARD_LIMIT:
         raise CapacityError(f"shards capped at {ENUM_SHARD_LIMIT}; got {shards}")
     order = params.order
-    if size_filter is None:
-        sizes = None
-        if order > ENUM_FULL_LIMIT:
-            raise CapacityError(
-                f"full power-set enumeration capped at order {ENUM_FULL_LIMIT}; "
-                f"got {order} (use a size filter)"
-            )
-        total = 1 << order
-    else:
-        sizes = tuple(sorted(set(size_filter)))
-        for k in sizes:
-            if not 0 <= k <= order:
-                raise ParameterError(f"size {k} out of range [0, {order}]")
-        if order > ENUM_FILTERED_LIMIT:
-            raise CapacityError(
-                f"size-filtered enumeration capped at order {ENUM_FILTERED_LIMIT}; got {order}"
-            )
-        total = sum(comb(order, k) for k in sizes)
-        if order > ENUM_FULL_LIMIT and total > ENUM_SUBSET_BUDGET:
-            raise CapacityError(
-                f"{total} subsets exceed the enumeration budget {ENUM_SUBSET_BUDGET}"
-            )
+    filt = None if size_filter is None else tuple(sorted(set(size_filter)))
+    for k in filt or ():
+        if not 0 <= k <= order:
+            raise ParameterError(f"size {k} out of range [0, {order}]")
+    if order > ENUM_FILTERED_LIMIT:
+        raise CapacityError(f"enumeration capped at order {ENUM_FILTERED_LIMIT}; got {order}")
+    sizes = range(order + 1) if filt is None else filt
+    total = sum(comb(order, k) for k in sizes)
+    if total > ENUM_SUBSET_BUDGET:
+        raise CapacityError(
+            f"{total} subsets exceed the enumeration budget {ENUM_SUBSET_BUDGET} "
+            "(use a size filter with fewer subsets)"
+        )
 
     args = [(params.p, params.n, sizes, use_canonical, i, shards) for i in range(shards)]
     if shards == 1:
@@ -618,7 +601,7 @@ def enumerate_and_check(
         raise RuntimeError(f"shard accounting error: {examined} != {total}")
     return EnumerationReport(
         params=params,
-        size_filter=sizes,
+        size_filter=filt,
         subsets_examined=examined,
         orbits_examined=orbits,
         tiles=tiles,

@@ -16,7 +16,6 @@ from spectile import (
     inversion_check,
     is_zero_equidist,
     scale_translate,
-    slice_counts,
     zero_set,
 )
 from spectile.charsum import ZeroProfile
@@ -25,27 +24,6 @@ from spectile.group import group_tables
 from conftest import SMALL_PARAMS, make_set
 
 P22 = GroupParams(2, 2)
-
-
-class TestSliceCounts:
-    def test_example_basic(self):
-        A = make_set(P22, [(0, 0), (0, 1)])
-        assert slice_counts(A, P22.element(0, 2)).counts == (1, 0, 1, 0)
-
-    def test_zero_direction(self):
-        A = make_set(P22, [(0, 0), (1, 1), (1, 3)])
-        counts = slice_counts(A, P22.zero()).counts
-        assert counts[0] == 3 and sum(counts) == 3
-
-    def test_full_group_fibers(self):
-        G = GroupSet.full(P22)
-        assert slice_counts(G, P22.element(0, 1)).counts == (2, 2, 2, 2)
-
-    def test_counts_sum_to_cardinality(self, small_params):
-        q = small_params
-        A = GroupSet(q, (1 << q.order) - 1 & 0x5A5A5A5)
-        for u in q.elements():
-            assert sum(slice_counts(A, u).counts) == A.cardinality
 
 
 class TestIsZeroEquidist:

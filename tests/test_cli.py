@@ -232,8 +232,8 @@ class TestEnumerateCommand:
         assert main(argv) == 0
         err = capsys.readouterr().err.splitlines()
         shard_lines = [line for line in err if line.startswith("shard ")]
-        # 1 + 70 subsets fit in one block of colex ranks, dealt to shard 0
-        for i, (line, subsets) in enumerate(zip(shard_lines, (71, 0, 0), strict=True)):
+        # sizes 0 and 4 are one block of colex ranks each, dealt to shards 0 and 1
+        for i, (line, subsets) in enumerate(zip(shard_lines, (1, 70, 0), strict=True)):
             assert re.fullmatch(rf"shard {i}: subsets={subsets} seconds=\d+\.\d{{3}}", line)
         assert "shard" not in out.read_text() and "seconds" not in out.read_text()
 

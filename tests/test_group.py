@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from spectile import (
     canonical_rep,
     class_members,
     difference_set,
-    digits,
     inner_product,
     scale_translate,
     valuation,
@@ -57,6 +57,16 @@ class TestGroupParams:
         assert q.pn == 9
         assert q.order == 27
 
+    def test_cached_orders_keep_value_semantics(self):
+        # pn and order are cached on the instance; equality, hashing,
+        # pickling and the group_tables cache still see only (p, n)
+        fresh, used = GroupParams(3, 2), GroupParams(3, 2)
+        assert used.order == 27 and used.pn == 9
+        assert fresh == used and hash(fresh) == hash(used)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == fresh and clone.order == 27 and clone.pn == 9
+        assert group_tables(fresh) is group_tables(used) is group_tables(clone)
+
 
 class TestElement:
     def test_index_round_trip_exhaustive(self, small_params):
@@ -96,22 +106,6 @@ class TestInnerProduct:
     def test_params_mismatch(self):
         with pytest.raises(ParameterError):
             inner_product(GroupParams(2, 1).element(0, 1), GroupParams(2, 2).element(0, 1))
-
-
-class TestDigits:
-    def test_examples(self):
-        assert digits(18, 3, 3) == (0, 0, 2)
-        assert digits(0, 5, 4) == (0, 0, 0, 0)
-        assert digits(5, 2, 3) == (1, 0, 1)
-
-    def test_round_trip(self):
-        for t in range(27):
-            d = digits(t, 3, 3)
-            assert sum(di * 3**i for i, di in enumerate(d)) == t
-
-    def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            digits(8, 2, 3)
 
 
 class TestValuation:

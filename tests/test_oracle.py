@@ -1,5 +1,6 @@
 import signal
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -279,39 +280,47 @@ class TestEnumerate:
                 assert sorted(masks) == expected, (k, shards)
 
     @pytest.mark.parametrize(
-        "q, sizes, shard_sizes",
+        "q, sizes, canonical",
         [
-            # one block per size: every subset lands in shard 0
-            (GroupParams(3, 1), [0, 9], [2, 0, 0]),
-            # C(16, 8) = 12870 ranks make 51 blocks, dealt 17/17/17
-            (GroupParams(2, 3), [0, 1, 8], [1 + 16 + 4352, 4352, 4166]),
+            (GroupParams(3, 1), [0, 9], False),
+            (GroupParams(2, 3), [0, 1, 8], False),
+            (P22, None, False),
+            (P22, None, True),
+            (GroupParams(2, 3), None, False),
+            (GroupParams(2, 3), None, True),
         ],
-        ids=["z3z3", "z2z8"],
+        ids=["z3z3", "z2z8", "z2z4-full-plain", "z2z4-full-canonical",
+             "z2z8-full-plain", "z2z8-full-canonical"],
     )
-    def test_size_filtered_shard_reports_byte_identical(self, q, sizes, shard_sizes):
-        reports = [enumerate_and_check(q, size_filter=sizes, shards=s) for s in (1, 2, 3)]
-        assert [n for n, _ in reports[2].shard_stats] == shard_sizes
-        assert reports[0].canonical_json() == reports[1].canonical_json()
-        assert reports[0].canonical_json() == reports[2].canonical_json()
-
-    @pytest.mark.parametrize("canonical", [False, True], ids=["plain", "canonical"])
-    @pytest.mark.parametrize(
-        "q, shard_sizes",
-        [
-            # 2^8 bitmaps are one block: every subset lands in shard 0
-            (P22, [256, 0, 0]),
-            # 2^16 bitmaps make 256 blocks, dealt 86/85/85
-            (GroupParams(2, 3), [86 * 256, 85 * 256, 85 * 256]),
-        ],
-        ids=["z2z4", "z2z8"],
-    )
-    def test_full_sweep_deals_blocks_round_robin(self, q, shard_sizes, canonical):
-        reports = [enumerate_and_check(q, use_canonical=canonical, shards=s) for s in (1, 2, 3)]
+    def test_size_filtered_shard_reports_byte_identical(self, q, sizes, canonical):
+        # a full sweep (sizes None) is dealt like the sweep over every size:
+        # the blocks of the sizes in turn go round-robin to the 3 shards
+        reports = [
+            enumerate_and_check(q, size_filter=sizes, use_canonical=canonical, shards=s)
+            for s in (1, 2, 3)
+        ]
+        shard_sizes = [0, 0, 0]
+        first = 0
+        for k in range(q.order + 1) if sizes is None else sizes:
+            for i in range(3):
+                shard_sizes[(first + i) % 3] += sum(1 for _ in oracle._k_subsets(q.order, k, i, 3))
+            first += -(-comb(q.order, k) // oracle._SHARD_BLOCK)
         assert [n for n, _ in reports[2].shard_stats] == shard_sizes
         for r in reports[1:]:
             assert r.canonical_json() == reports[0].canonical_json()
             for memo in ("spectral", "tile"):
                 assert r.stats[memo]["lookups"] == reports[0].stats[memo]["lookups"]
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["plain", "canonical"])
+    @pytest.mark.parametrize("q", [P22, GroupParams(2, 3)], ids=["z2z4", "z2z8"])
+    def test_full_sweep_is_the_sweep_over_every_size(self, q, canonical):
+        full = enumerate_and_check(q, use_canonical=canonical)
+        every = enumerate_and_check(q, size_filter=range(q.order + 1), use_canonical=canonical)
+        assert full.size_filter is None
+        assert every.size_filter == tuple(range(q.order + 1))
+        for name in ("subsets_examined", "orbits_examined", "tiles", "spectral", "mismatches",
+                     "stats"):
+            assert getattr(full, name) == getattr(every, name), name
 
     def test_size_filter_counts(self):
         q = GroupParams(3, 1)
