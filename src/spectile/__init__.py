@@ -43,7 +43,6 @@ from .group import (
     canonical_rep,
     class_members,
     difference_set,
-    inner_product,
     scale_translate,
     valuation,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "enumerate_and_check",
     "find_complement_bruteforce",
     "find_spectrum_bruteforce",
-    "inner_product",
     "inversion_check",
     "is_zero_equidist",
     "load_set",

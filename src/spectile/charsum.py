@@ -110,16 +110,6 @@ class CyclotomicInt:
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(
-            self.p, self.n,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.p, self.n, tuple(-a for a in self.coefficients))
-
     def times_root_power(self, e: int) -> "CyclotomicInt":
         """Multiply by zeta^e."""
         p, n = self.p, self.n

@@ -152,7 +152,7 @@ def _cmd_search(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = GroupParams(args.p, args.n)
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         try:
             sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
         except ValueError:
@@ -219,11 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_json=True):
+    def add_common(sp):
         sp.add_argument("--p", type=int, default=None, help="expected prime p (checked against headers)")
         sp.add_argument("--n", type=int, default=None, help="expected exponent n (checked against headers)")
-        if with_json:
-            sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("analyze", help="zero set, size class, and divisibility report")
     sp.add_argument("set", help="set file")

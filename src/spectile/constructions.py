@@ -30,11 +30,6 @@ from .oracle import (
 )
 from .structure import classify_size
 
-# Spectral-pair verification inside the constructions is skipped above this
-# many difference tests, and the trace then records "verified": False;
-# tiling verification always runs.
-_VERIFY_DIFF_BUDGET = 2**21
-
 
 @dataclass
 class CaseTrace:
@@ -77,23 +72,12 @@ def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
     return out
 
 
-def _spectral_check(A: GroupSet, B: GroupSet, profile: ZeroProfile) -> bool | None:
-    """verify_spectral_pair(A, B) against profile = zero_set(A), or None
-    when |B|^2 exceeds the budget."""
-    if B.cardinality**2 > _VERIFY_DIFF_BUDGET:
-        return None
-    return _spectral_violation(A, B, profile) is None
-
-
 def _verify_spectrum(
     A: GroupSet, B: GroupSet, profile: ZeroProfile, context: str, witnesses: dict
 ) -> dict:
-    """Check the constructed spectrum; returns the witnesses, marked
-    unverified when the check was over budget."""
-    ok = _spectral_check(A, B, profile)
-    if ok is None:
-        witnesses["verified"] = False
-    elif not ok:
+    """Check the constructed spectrum against profile = zero_set(A);
+    returns the witnesses."""
+    if _spectral_violation(A, B, profile) is not None:
         raise InvalidInputError(
             f"{context}: constructed spectrum failed verification; "
             "the input is not the tile it was claimed to be"
@@ -286,33 +270,21 @@ def complement_from_spectrum(
 ) -> tuple[GroupSet, CaseTrace]:
     """Build a tiling complement T for a spectral set A, |A| * |T| = |G|.
 
-    A supplied spectrum B is verified and consulted where the case split
-    needs its axis-zero levels or a difference witness; without one, a
-    spectrum is searched when the group order is within the oracle cap.
-    When B is too large to verify, the trace records "verified": False.
-    A caller that already holds zero_set(A) passes it as profile; it is
-    trusted, not recomputed.  Otherwise it is computed at most once here.
+    A supplied spectrum B is verified at any size, refused if it fails, and
+    consulted where the case split needs its axis-zero levels or a
+    difference witness; without one, a spectrum is searched when the group
+    order is within the oracle cap.  A caller that already holds
+    zero_set(A) passes it as profile; it is trusted, not recomputed.
+    Otherwise it is computed at most once here.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")
-    verified = True
     if B is not None:
         _require_same_params(A.params, B.params)
         if profile is None:
             profile = zero_set(A)
-        verified = _spectral_check(A, B, profile)
-        if verified is False:
+        if _spectral_violation(A, B, profile) is not None:
             raise InvalidInputError("supplied spectrum fails the spectral-pair check")
-    T, trace = _build_complement(A, B, profile)
-    if verified is None:
-        trace.witnesses["verified"] = False
-    return T, trace
-
-
-def _build_complement(
-    A: GroupSet, B: GroupSet | None, profile: ZeroProfile | None
-) -> tuple[GroupSet, CaseTrace]:
-    # complement_from_spectrum once the input checks have passed
     q = A.params
     k = A.cardinality
     if k == 1:

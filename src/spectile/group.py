@@ -150,10 +150,6 @@ class Element:
         q = self.params
         return Element(q, (self.x - other.x) % q.p, (self.y - other.y) % q.pn)
 
-    def __neg__(self) -> "Element":
-        q = self.params
-        return Element(q, (-self.x) % q.p, (-self.y) % q.pn)
-
     def scale(self, s: int) -> "Element":
         """Scalar action s * (x, y) = (s*x mod p, s*y mod p^n) for any integer s."""
         q = self.params
@@ -260,9 +256,6 @@ class GroupSet:
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
     def __contains__(self, e: Element) -> bool:
         _require_same_params(self.params, e.params)
         return bool(self.mask >> e.index & 1)
@@ -294,13 +287,6 @@ def _mask_of(order: int, idxs) -> int:
 
 # ---------------------------------------------------------------------------
 # Core operations
-
-
-def inner_product(u: Element, v: Element) -> int:
-    """<u, v> = p^(n-1) * u.x * v.x + u.y * v.y, reduced mod p^n."""
-    _require_same_params(u.params, v.params)
-    q = u.params
-    return (q.p ** (q.n - 1) * u.x * v.x + u.y * v.y) % q.pn
 
 
 def _split_p(t: int, p: int) -> tuple[int, int]:

@@ -1,13 +1,15 @@
 """Ground-truth searches and the exhaustive tile/spectral cross-check.
 
-The verifiers are direct restatements of the pair conditions.  The
-searches are deterministic brute force: a spectrum is a size-|A| clique
-containing 0 in the graph whose edges are differences lying in the zero
-set, found in lexicographic branch order; a tiling complement is an exact
-cover by translates, normalized so the cover always uses the translate by
-0, with first-fail cell selection and translate columns tried in
-ascending index order.  Both searches keep an explicit stack, so their
-depth is bounded by the group order, not by the recursion limit.
+The tiling verifier restates its pair condition directly; the spectral
+one decides every difference of B by class, in one pass over B per class
+outside the zero set, without scanning pairs.  The searches are
+deterministic brute force: a spectrum is a size-|A| clique containing 0
+in the graph whose edges are differences lying in the zero set, found in
+lexicographic branch order; a tiling complement is an exact cover by
+translates, normalized so the cover always uses the translate by 0, with
+first-fail cell selection and translate columns tried in ascending index
+order.  Both searches keep an explicit stack, so their depth is bounded
+by the group order, not by the recursion limit.
 
 enumerate_and_check sweeps the subsets of the given cardinalities (all
 of them by default), decides tile and spectral for every subset by the
@@ -42,7 +44,6 @@ from .group import (
     GroupParams,
     GroupSet,
     GroupTables,
-    _rep_id,
     _require_same_params,
     difference_set,
     group_tables,
@@ -72,11 +73,12 @@ _SHARD_BLOCK = 256
 def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     """None if (A, B) is a spectral pair, else the first offending difference.
 
-    Scans pairs u < v of B in ascending index order and returns v - u for
-    the first difference outside the zero set of A (the zero set is closed
-    under negation, so one direction decides both); returns a message
-    string when the sizes already disagree.  Each difference is tested by
-    its class id against the zero profile, so no group-sized table is built.
+    The witness is v - u for the first pair u < v of B, in ascending index
+    order, whose difference lies outside the zero set of A (the zero set is
+    closed under negation, so one direction decides both); a message string
+    when the sizes already disagree.  No pair of B is scanned: the check
+    makes one pass over B per class outside the zero set, O(|B|(1 + p*n))
+    for the 1 + p*n classes, and builds no group-sized table.
     """
     return _spectral_violation(A, B, None)
 
@@ -84,20 +86,57 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
 def _spectral_violation(
     A: GroupSet, B: GroupSet, profile: ZeroProfile | None
 ) -> Element | str | None:
-    """spectral_pair_violation for a caller that already holds zero_set(A)."""
+    """spectral_pair_violation for a caller that already holds zero_set(A).
+
+    v - u lies in the class (1,0) iff y_u = y_v, and in the class (c, p^i)
+    iff y_u = y_v mod p^i, the digits d_i(y) = (y // p^i) mod p differ, and
+    x - c*d_i(y) agrees mod p.  So a class outside the zero set fails
+    exactly on two elements that share a key but not a digit, which is
+    when B has fewer keys than (key, digit) pairs.  A failing class is
+    walked in descending order of B, keeping per key the least position,
+    its digit, and the least position with another digit: each element
+    meets its least partner, and the last hit is the class's first pair.
+    """
     _require_same_params(A.params, B.params)
-    if A.cardinality != B.cardinality:
-        return f"|A| = {A.cardinality} but |B| = {B.cardinality}"
+    k = B.cardinality
+    if A.cardinality != k:
+        return f"|A| = {A.cardinality} but |B| = {k}"
     q = A.params
-    p, pn = q.p, q.pn
-    key = (zero_set(A) if profile is None else profile).key()
+    p = q.p
+    bits = (zero_set(A) if profile is None else profile).key()
     pairs = _coordinates(B)
-    for i, (ux, uy) in enumerate(pairs):
-        for vx, vy in pairs[i + 1:]:
-            dx, dy = (vx - ux) % p, (vy - uy) % pn
-            if not key >> _rep_id(p, dx, dy) & 1:
-                return q.element(dx, dy)
-    return None
+    hits = []  # per failing class, its first pair as positions in ascending B
+    kinds: dict[int, int] = {}  # level i -> number of (key, digit) pairs at i
+    for rid in range(1 + q.n * p):
+        if bits >> rid & 1:
+            continue
+        if rid == 0:  # key y, digit x; the k elements are k (key, digit) pairs
+            if len({y for _, y in pairs}) == k:
+                continue
+            keys, digits = [y for _, y in pairs], [x for x, _ in pairs]
+        else:  # a key and a digit at level i fix (x, y mod p^(i+1))
+            i, c = divmod(rid - 1, p)
+            w = p**i
+            if i not in kinds:
+                kinds[i] = len({(x, y % (w * p)) for x, y in pairs})
+            if len({y % w * p + (x - c * (y // w)) % p for x, y in pairs}) == kinds[i]:
+                continue
+            keys = [y % w * p + (x - c * (y // w)) % p for x, y in pairs]
+            digits = [y // w % p for _, y in pairs]
+        seen: dict[int, tuple] = {}
+        for j in range(k - 1, -1, -1):
+            m1, d1, m2 = seen.get(keys[j], (None, digits[j], None))
+            if digits[j] != d1:
+                m2 = m1
+            seen[keys[j]] = (j, digits[j], m2)
+            if m2 is not None:
+                hit = (j, m2)
+        hits.append(hit)  # bound: the class fails, so some element met a partner
+    if not hits:
+        return None
+    u, v = min(hits)
+    (ux, uy), (vx, vy) = pairs[u], pairs[v]
+    return q.element((vx - ux) % p, (vy - uy) % q.pn)
 
 
 def verify_spectral_pair(A: GroupSet, B: GroupSet) -> bool:
@@ -558,7 +597,8 @@ def enumerate_and_check(
     addition and mismatches sort by (mask, kind), so the report does not
     depend on the shard decomposition.  Groups above order
     ENUM_FILTERED_LIMIT, sweeps of more than ENUM_SUBSET_BUDGET subsets and
-    more than ENUM_SHARD_LIMIT shards are refused with CapacityError.
+    more than ENUM_SHARD_LIMIT shards are refused with CapacityError, an
+    empty size_filter with ParameterError.
     """
     start = time.perf_counter()
     if shards < 1:
@@ -567,6 +607,8 @@ def enumerate_and_check(
         raise CapacityError(f"shards capped at {ENUM_SHARD_LIMIT}; got {shards}")
     order = params.order
     filt = None if size_filter is None else tuple(sorted(set(size_filter)))
+    if filt == ():
+        raise ParameterError("the size filter is empty; omit it to sweep every size")
     for k in filt or ():
         if not 0 <= k <= order:
             raise ParameterError(f"size {k} out of range [0, {order}]")

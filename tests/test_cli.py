@@ -205,6 +205,12 @@ class TestEnumerateCommand:
     def test_bad_sizes_flag(self, capsys):
         assert main(["enumerate", "--p", "3", "--n", "1", "--sizes", "3,x"]) == 2
 
+    @pytest.mark.parametrize("sizes", [",", ""])
+    def test_empty_sizes_flag_exits_2(self, sizes, capsys):
+        assert main(["enumerate", "--p", "2", "--n", "1", "--sizes", sizes]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "size filter is empty" in err
+
     def test_capacity_exits_3(self):
         assert main(["enumerate", "--p", "2", "--n", "4"]) == 3
 
@@ -296,6 +302,20 @@ class TestLargestAcceptedOrder:
         assert rc == 0 and wall < self.BOUND_S
         spectrum = capsys.readouterr().out
         assert spectrum == f"2 23\n0 0\n0 {2**22}\n"
+        b = write(tmp_path, "b.txt", spectrum)
+        rc, wall = self._timed(["check-pair", a, b, "--mode", "spectral"])
+        assert rc == 0 and wall < self.BOUND_S
+        assert capsys.readouterr().out.strip() == "true"
+
+    def test_large_spectrum_verified_within_bound(self, tmp_path, capsys):
+        # A 4096-element digit-span tile: the spectral check of its spectrum
+        # (2^24 ordered pairs) makes one pass per class and is never skipped.
+        a = write(tmp_path, "a.txt", "2 23\n" + "".join(f"0 {y}\n" for y in range(4096)))
+        rc, wall = self._timed(["spectrum", a])
+        assert rc == 0 and wall < self.BOUND_S
+        spectrum, trace = capsys.readouterr()
+        assert spectrum == "2 23\n" + "".join(f"0 {y << 11}\n" for y in range(4096))
+        assert "case: IFull" in trace and "witness verified" not in trace
         b = write(tmp_path, "b.txt", spectrum)
         rc, wall = self._timed(["check-pair", a, b, "--mode", "spectral"])
         assert rc == 0 and wall < self.BOUND_S

@@ -263,36 +263,6 @@ class TestComplementFromSpectrum:
             complement_from_spectrum(A)
 
 
-class TestSkippedVerification:
-    # Above _VERIFY_DIFF_BUDGET the spectral-pair check is skipped; the
-    # trace says so instead of looking verified.
-
-    def test_constructed_spectrum_marked_unverified(self, monkeypatch):
-        A = make_set(P22, [(0, 0), (0, 1)])
-        _, trace = spectrum_from_tile(A)
-        assert "verified" not in trace.witnesses
-        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
-        B, trace = spectrum_from_tile(A)
-        assert trace.witnesses == {"zero": [0, 2], "verified": False}
-        assert verify_spectral_pair(A, B)
-
-    def test_supplied_spectrum_marked_unverified(self, monkeypatch):
-        A = GroupSet.from_indices(P23, [0, 1, 8, 9])
-        B = find_spectrum_bruteforce(A)
-        _, trace = complement_from_spectrum(A, B)
-        assert "verified" not in trace.witnesses
-        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
-        T, trace = complement_from_spectrum(A, B)
-        assert trace.witnesses == {"I": [2], "J": [0], "verified": False}
-        assert verify_tiling_pair(A, T)
-
-    def test_bad_supplied_spectrum_passes_only_as_unverified(self, monkeypatch):
-        A = make_set(P22, [(0, 0), (0, 1)])
-        monkeypatch.setattr(constructions, "_VERIFY_DIFF_BUDGET", 0)
-        _, trace = complement_from_spectrum(A, A)
-        assert trace.witnesses["verified"] is False
-
-
 class TestNonspectralSizeWitness:
     def test_p3_size6(self):
         q = GroupParams(3, 2)

@@ -10,6 +10,7 @@ from spectile import (
     CapacityError,
     GroupParams,
     GroupSet,
+    ParameterError,
     canonicalize,
     difference_set,
     enumerate_and_check,
@@ -329,6 +330,10 @@ class TestEnumerate:
         assert report.subsets_examined == 84 + 84
         assert report.tiles == report.spectral == 84
         assert report.mismatches == []
+
+    def test_empty_size_filter_rejected(self):
+        with pytest.raises(ParameterError):
+            enumerate_and_check(GroupParams(3, 1), size_filter=[])
 
     def test_canonical_mode(self):
         report = enumerate_and_check(P22, use_canonical=True)

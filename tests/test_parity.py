@@ -8,8 +8,11 @@ from_indices.
 
 import random
 
+import pytest
+
 from spectile import (
     ClassRep,
+    GroupParams,
     GroupSet,
     char_value_exact,
     difference_set,
@@ -20,6 +23,8 @@ from spectile import (
     tiling_pair_violation,
     zero_set,
 )
+
+from conftest import SMALL_PARAMS
 
 SEED = 2021
 TRIALS = 60
@@ -62,8 +67,12 @@ def test_tiling_witness_is_lowest_shared_difference(small_params):
     assert outcomes == {True, False}
 
 
-def test_spectral_witness_is_first_failing_pair(small_params):
-    q = small_params
+# Z_5 x Z_5 has five classes per level and Z_2 x Z_16 four levels, which
+# SMALL_PARAMS lacks.
+@pytest.mark.parametrize(
+    "q", SMALL_PARAMS + [GroupParams(5, 1), GroupParams(2, 4)], ids=lambda q: f"p{q.p}n{q.n}"
+)
+def test_spectral_witness_is_first_failing_pair(q):
     rng = random.Random(SEED)
     outcomes = set()
     for _ in range(TRIALS):
