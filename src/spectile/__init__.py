@@ -58,7 +58,7 @@ from .oracle import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from .setio import load_set, parse_set, save_set, serialize_set
+from .setio import load_set, parse_set, serialize_set
 from .structure import (
     SizeClass,
     classify_size,
@@ -108,7 +108,6 @@ __all__ = [
     "nonspectral_size_witness",
     "parse_set",
     "project_delete_digit",
-    "save_set",
     "scale_translate",
     "serialize_set",
     "spectral_pair_violation",

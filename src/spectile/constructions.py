@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .charsum import ZeroProfile, zero_set
+from .charsum import ZeroProfile, _coordinates, zero_set
 from .errors import (
     ContradictionError,
     InvalidInputError,
     MissingPartnerError,
     NonSpectralSizeError,
 )
-from .group import ClassRep, GroupParams, GroupSet, _require_same_params, _split_p
+from .group import ClassRep, GroupParams, GroupSet, _require_same_params
 from .oracle import (
     ORACLE_ORDER_LIMIT,
+    _first_pair,
     _spectral_violation,
     find_complement_bruteforce,
     find_spectrum_bruteforce,
@@ -421,26 +422,22 @@ def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[Group
 
 def _case3_witness(params: GroupParams, B: GroupSet, j0: int) -> tuple[int, list[list[int]]]:
     """First pair (t,x), (t',x') of B with t != t' and x - x' of exact
-    valuation n-1-j0; returns c = c' * (t-t')^{-1} mod p and the pair."""
+    valuation i = n-1-j0; returns c = (d - d') * (t-t')^{-1} mod p, from
+    the digits d, d' of x, x' at i, and the pair.
+
+    Such a difference lies in a class (c', p^i) with c' != 0, so the pair
+    is the first one over those p-1 classes.
+    """
     q = params
-    target = q.n - 1 - j0
-    idxs = B.indices()
-    pn = q.pn
-    for ii in range(len(idxs)):
-        t1, x1 = divmod(idxs[ii], pn)
-        for jj in range(ii + 1, len(idxs)):
-            t2, x2 = divmod(idxs[jj], pn)
-            if t1 == t2:
-                continue
-            d = (x1 - x2) % pn
-            if d == 0:
-                continue
-            v, dd = _split_p(d, q.p)
-            if v != target:
-                continue
-            c = (dd % q.p * pow((t1 - t2) % q.p, -1, q.p)) % q.p
-            return c, [[t1, x1], [t2, x2]]
-    raise InvalidInputError(
-        "no difference of the spectrum has the required valuation; the pair is "
-        "not genuine"
-    )
+    p = q.p
+    i = q.n - 1 - j0
+    pairs = _coordinates(B)
+    hit = _first_pair(p, pairs, range(2 + i * p, 1 + (i + 1) * p))
+    if hit is None:
+        raise InvalidInputError(
+            "no difference of the spectrum has the required valuation; the pair is "
+            "not genuine"
+        )
+    (t1, x1), (t2, x2) = pairs[hit[0]], pairs[hit[1]]
+    c = (_digit(x1, i, p) - _digit(x2, i, p)) * pow(t1 - t2, -1, p) % p
+    return c, [[t1, x1], [t2, x2]]

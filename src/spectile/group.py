@@ -35,11 +35,11 @@ from .errors import CapacityError, ParameterError
 # on 2-element sets; a bitmap here is a 2 MB integer.
 DEFAULT_ORDER_LIMIT = 2**24
 
-# profile_key's and difference_mask's tables are only built for groups
-# this small, the largest sweep order: at most 4 tables of 256 packed
-# counts and 36 of 256 difference bitmaps.  Single-set operations count
-# residues and shift bitmaps instead.
-_PROFILE_KEY_LIMIT = 32
+# Largest order an exhaustive sweep accepts, and so the largest for which
+# profile_key's and difference_mask's tables are built: at most 4 tables
+# of 256 packed counts and 36 of 256 difference bitmaps.  Single-set
+# operations count residues and shift bitmaps instead.
+SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
 # Width of the mask chunks difference_mask's tables are indexed by: one
@@ -447,6 +447,13 @@ class GroupTables:
             self._class_masks = class_masks
         return self._class_masks
 
+    def _require_sweep_order(self, tables: str) -> None:
+        if self.order > SWEEP_ORDER_LIMIT:
+            raise CapacityError(
+                f"{tables} tables are only built up to order {SWEEP_ORDER_LIMIT}; "
+                f"got {self.order}"
+            )
+
     def _build_key_tables(self) -> tuple:
         """Byte tables of packed slice counts, and one field mask per rep.
 
@@ -457,11 +464,7 @@ class GroupTables:
         are one table lookup per byte.  Mask rid selects every field of the
         rep whose right-hand neighbour lies in the same class.
         """
-        if self.order > _PROFILE_KEY_LIMIT:
-            raise CapacityError(
-                f"profile_key tables are only built up to order {_PROFILE_KEY_LIMIT}; "
-                f"got {self.order}"
-            )
+        self._require_sweep_order("profile_key")
         p, pn, pn1, w = self.p, self.pn, self.pn1, _FIELD_BITS
         packed = [0] * self.order
         for idx in range(self.order):
@@ -490,11 +493,7 @@ class GroupTables:
         the OR of the entries for the lowest bit of u (or of v) and for the
         rest, so each entry costs one OR.
         """
-        if self.order > _PROFILE_KEY_LIMIT:
-            raise CapacityError(
-                f"difference tables are only built up to order {_PROFILE_KEY_LIMIT}; "
-                f"got {self.order}"
-            )
+        self._require_sweep_order("difference")
         order, w, sub = self.order, _DIFF_CHUNK, self.sub_index
         side = 1 << w
         starts = range(0, order, w)

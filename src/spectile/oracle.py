@@ -17,9 +17,11 @@ oracles, cross-checks the constructive algorithms on every positive, and
 reports any disagreement.  Both verdicts are memoized: the spectral one
 on the zero profile and |A|, the tile one on A - A and |A|, since A tiles
 with T exactly when |A||T| = |G| and the two difference sets meet only
-at 0.  Both keys are table lookups: the profile from per-byte packed
-counts, A - A from per-nibble-pair difference bits
-(GroupTables.difference_mask).
+at 0.  A spectral entry also holds the divisibility, size-obstruction and
+pigeonhole checks, which depend only on the profile and |A|: they are
+decided once per entry and reported on every subset it serves.  Both
+keys are table lookups: the profile from per-byte packed counts, A - A
+from per-nibble-pair difference bits (GroupTables.difference_mask).
 The canonical filter is canonicalize's orbit scan, stopped at the first
 smaller image.  Work is split into shards whose merge is independent of
 the shard count, so reports are byte-identical however the sweep is
@@ -40,6 +42,7 @@ from math import comb
 from .charsum import ZeroProfile, _coordinates, zero_set
 from .errors import CapacityError, ParameterError
 from .group import (
+    SWEEP_ORDER_LIMIT,
     Element,
     GroupParams,
     GroupSet,
@@ -53,8 +56,7 @@ from .structure import classify_size, divisibility_exponent
 # Largest group order accepted by the per-set searches.
 ORACLE_ORDER_LIMIT = 2**16
 # Every sweep is size-filtered (a full power-set sweep filters on every
-# size) and allowed up to this order, within a subset budget.
-ENUM_FILTERED_LIMIT = 32
+# size) and allowed up to SWEEP_ORDER_LIMIT, within a subset budget.
 ENUM_SUBSET_BUDGET = 2**27
 # More shards than this are refused before any work list is built.
 ENUM_SHARD_LIMIT = 1024
@@ -86,30 +88,38 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
 def _spectral_violation(
     A: GroupSet, B: GroupSet, profile: ZeroProfile | None
 ) -> Element | str | None:
-    """spectral_pair_violation for a caller that already holds zero_set(A).
-
-    v - u lies in the class (1,0) iff y_u = y_v, and in the class (c, p^i)
-    iff y_u = y_v mod p^i, the digits d_i(y) = (y // p^i) mod p differ, and
-    x - c*d_i(y) agrees mod p.  So a class outside the zero set fails
-    exactly on two elements that share a key but not a digit, which is
-    when B has fewer keys than (key, digit) pairs.  A failing class is
-    walked in descending order of B, keeping per key the least position,
-    its digit, and the least position with another digit: each element
-    meets its least partner, and the last hit is the class's first pair.
-    """
+    """spectral_pair_violation for a caller that already holds zero_set(A)."""
     _require_same_params(A.params, B.params)
     k = B.cardinality
     if A.cardinality != k:
         return f"|A| = {A.cardinality} but |B| = {k}"
     q = A.params
-    p = q.p
     bits = (zero_set(A) if profile is None else profile).key()
     pairs = _coordinates(B)
-    hits = []  # per failing class, its first pair as positions in ascending B
+    hit = _first_pair(q.p, pairs, [rid for rid in range(1 + q.n * q.p) if not bits >> rid & 1])
+    if hit is None:
+        return None
+    (ux, uy), (vx, vy) = pairs[hit[0]], pairs[hit[1]]
+    return q.element((vx - ux) % q.p, (vy - uy) % q.pn)
+
+
+def _first_pair(p: int, pairs: list, rids) -> tuple[int, int] | None:
+    """First pair u < v of positions in pairs, the ascending (x, y) of a
+    set B, whose difference lies in one of the classes with ids rids, or
+    None.
+
+    v - u lies in the class (1,0) iff y_u = y_v, and in the class (c, p^i)
+    iff y_u = y_v mod p^i, the digits d_i(y) = (y // p^i) mod p differ, and
+    x - c*d_i(y) agrees mod p.  So a class holds no difference exactly when
+    B has as many keys as (key, digit) pairs.  Otherwise the class is
+    walked in descending order of B, keeping per key the least position,
+    its digit, and the least position with another digit: each element
+    meets its least partner, and the last hit is the class's first pair.
+    """
+    k = len(pairs)
+    hits = []  # per class that holds a difference, its first pair
     kinds: dict[int, int] = {}  # level i -> number of (key, digit) pairs at i
-    for rid in range(1 + q.n * p):
-        if bits >> rid & 1:
-            continue
+    for rid in rids:
         if rid == 0:  # key y, digit x; the k elements are k (key, digit) pairs
             if len({y for _, y in pairs}) == k:
                 continue
@@ -131,12 +141,8 @@ def _spectral_violation(
             seen[keys[j]] = (j, digits[j], m2)
             if m2 is not None:
                 hit = (j, m2)
-        hits.append(hit)  # bound: the class fails, so some element met a partner
-    if not hits:
-        return None
-    u, v = min(hits)
-    (ux, uy), (vx, vy) = pairs[u], pairs[v]
-    return q.element((vx - ux) % p, (vy - uy) % q.pn)
+        hits.append(hit)  # bound: the class holds a difference, so some element met a partner
+    return min(hits, default=None)
 
 
 def verify_spectral_pair(A: GroupSet, B: GroupSet) -> bool:
@@ -453,20 +459,15 @@ def _run_shard(args: tuple) -> tuple:
     params = GroupParams(p, n)
     t = group_tables(params)
     order = t.order
-    full = t.full_mask
     all_reps = (1 << t.rep_count) - 1
     pn = t.pn
-
-    witness_sizes = frozenset(
-        k for k in range(1, order + 1) if classify_size(k, params).kind == "mixed"
-    )
-    # pkey -> (profile, certified divisor p^s, zero-set bitmap)
-    profiles: dict[int, tuple[ZeroProfile, int, int]] = {}
     # Both memos map (key, k), packed as key * (order + 1) + k (injective
-    # since k <= order, and cheaper than a tuple in the hot loop), to the
-    # partner mask, 0 if there is none.  A miss adds one entry, so a memo's
-    # misses are its length.
-    smemo: dict[int, int] = {}  # key: zero profile
+    # since k <= order, and cheaper than a tuple in the hot loop).  A miss
+    # adds one entry, so a memo's misses are its length.  A spectral entry
+    # holds the profile, the spectrum mask (0 if none) and the (kind,
+    # detail) of every check that fails on each set with that profile and
+    # size; a tile entry holds the complement mask, 0 if none.
+    smemo: dict[int, tuple[ZeroProfile, int, tuple]] = {}  # key: zero profile
     tmemo: dict[int, int] = {}  # key: difference set
     # constructed complement mask -> its profile key, for the zero-cover check
     t2keys: dict[int, int] = {}
@@ -481,94 +482,77 @@ def _run_shard(args: tuple) -> tuple:
     profile_key = t.profile_key
     difference_mask = t.difference_mask
 
-    def process(mask: int, k: int) -> None:
-        nonlocal examined, orbits, empties, tile_lookups, tiles, spectral
-        examined += 1
-        if use_canonical:
-            if _orbit_min(t, mask, True) != mask:
-                return
-            orbits += 1
-        if k == 0:
-            empties += 1
-            return
-        pkey = profile_key(mask)
-        entry = profiles.get(pkey)
-        if entry is None:
-            profile = ZeroProfile(params, pkey)
-            entry = profiles[pkey] = (
-                profile, p ** divisibility_exponent(profile), profile.zero_mask()
+    def round_trip(name, mask, k, partner, profile):
+        # the construction is looked up by name on each call, so a wrapper
+        # put on the module attribute sees every call
+        try:
+            built, _ = getattr(constructions, name)(
+                GroupSet(params, mask), GroupSet(params, partner), profile=profile
             )
-        profile, dp, zmask = entry
-        if k % dp:
+        except Exception as exc:  # any failure here is a finding
             mismatches.append(
-                Mismatch("divisibility", mask, k, f"certified divisor {dp} does not divide {k}")
+                Mismatch("construction", mask, k, f"{name}: {type(exc).__name__}: {exc}")
             )
-        skey = pkey * (order + 1) + k
-        bmask = smemo.get(skey, -1)
-        if bmask == -1:
-            bmask = smemo[skey] = _find_clique(t, zmask, k) or 0
-        tmask = 0
-        if order % k == 0:
-            tile_lookups += 1
-            tkey = difference_mask(mask) * (order + 1) + k
-            tmask = tmemo.get(tkey, -1)
-            if tmask == -1:
-                tmask = tmemo[tkey] = _find_cover(t, mask) or 0
-        sp = bmask != 0
-        tl = tmask != 0
-        if tl:
-            tiles += 1
-        if sp:
-            spectral += 1
-        if tl != sp:
-            mismatches.append(
-                Mismatch("theorem", mask, k, f"tile={tl} but spectral={sp}")
-            )
-        if sp and k in witness_sizes:
-            mismatches.append(
-                Mismatch("witness", mask, k, "spectrum found despite size obstruction")
-            )
-        if sp and k > pn and mask != full:
-            mismatches.append(
-                Mismatch("pigeonhole", mask, k, "spectral set larger than p^n is not the group")
-            )
-        if tl:
-            A = GroupSet(params, mask)
-            T = GroupSet(params, tmask)
-            try:
-                constructions.spectrum_from_tile(A, T, profile=profile)
-            except Exception as exc:  # any failure here is a finding
-                mismatches.append(
-                    Mismatch(
-                        "construction", mask, k,
-                        f"spectrum_from_tile: {type(exc).__name__}: {exc}",
-                    )
-                )
-        if sp:
-            A = GroupSet(params, mask)
-            B = GroupSet(params, bmask)
-            try:
-                T2, _ = constructions.complement_from_spectrum(A, B, profile=profile)
-            except Exception as exc:
-                mismatches.append(
-                    Mismatch(
-                        "construction", mask, k,
-                        f"complement_from_spectrum: {type(exc).__name__}: {exc}",
-                    )
-                )
-            else:
-                t2key = t2keys.get(T2.mask)
-                if t2key is None:
-                    t2key = t2keys[T2.mask] = profile_key(T2.mask)
-                if pkey | t2key != all_reps:
-                    mismatches.append(
-                        Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
-                    )
+            return None
+        return built
 
     first = 0  # sweep-wide number of the current size's first block
     for k in sizes:
+        mixed = k > 0 and classify_size(k, params).kind == "mixed"
         for mask in _k_subsets(order, k, (shard_i - first) % shard_n, shard_n):
-            process(mask, k)
+            examined += 1
+            if use_canonical:
+                if _orbit_min(t, mask, True) != mask:
+                    continue
+                orbits += 1
+            if k == 0:
+                empties += 1
+                continue
+            pkey = profile_key(mask)
+            skey = pkey * (order + 1) + k
+            entry = smemo.get(skey)
+            if entry is None:
+                profile = ZeroProfile(params, pkey)
+                bmask = _find_clique(t, profile.zero_mask(), k) or 0
+                dp = p ** divisibility_exponent(profile)
+                failed = []
+                if k % dp:
+                    failed.append(("divisibility", f"certified divisor {dp} does not divide {k}"))
+                if bmask and mixed:
+                    failed.append(("witness", "spectrum found despite size obstruction"))
+                if bmask and pn < k < order:
+                    failed.append(("pigeonhole", "spectral set larger than p^n is not the group"))
+                entry = smemo[skey] = (profile, bmask, tuple(failed))
+            profile, bmask, failed = entry
+            for kind, detail in failed:
+                mismatches.append(Mismatch(kind, mask, k, detail))
+            tmask = 0
+            if order % k == 0:
+                tile_lookups += 1
+                tkey = difference_mask(mask) * (order + 1) + k
+                tmask = tmemo.get(tkey, -1)
+                if tmask == -1:
+                    tmask = tmemo[tkey] = _find_cover(t, mask) or 0
+            tl = tmask != 0
+            sp = bmask != 0
+            tiles += tl
+            spectral += sp
+            if tl != sp:
+                mismatches.append(Mismatch("theorem", mask, k, f"tile={tl} but spectral={sp}"))
+            if tl:
+                round_trip("spectrum_from_tile", mask, k, tmask, profile)
+            if not sp:
+                continue
+            T2 = round_trip("complement_from_spectrum", mask, k, bmask, profile)
+            if T2 is None:
+                continue
+            t2key = t2keys.get(T2.mask)
+            if t2key is None:
+                t2key = t2keys[T2.mask] = profile_key(T2.mask)
+            if pkey | t2key != all_reps:
+                mismatches.append(
+                    Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
+                )
         first += -(-comb(order, k) // _SHARD_BLOCK)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
@@ -592,11 +576,12 @@ def enumerate_and_check(
     size are cut into blocks of contiguous ranks, and the blocks of all
     sizes in turn are dealt round-robin to the shards.  Per subset: both
     oracle verdicts, the divisibility check on the zero profile, the
-    cardinality obstruction, the pigeonhole bound, and a full construction
-    round trip on every tile and every spectral set.  Counts merge by
+    cardinality obstruction, the pigeonhole bound (these three decided
+    once per zero profile and size), and a full construction round trip
+    on every tile and every spectral set.  Counts merge by
     addition and mismatches sort by (mask, kind), so the report does not
     depend on the shard decomposition.  Groups above order
-    ENUM_FILTERED_LIMIT, sweeps of more than ENUM_SUBSET_BUDGET subsets and
+    SWEEP_ORDER_LIMIT, sweeps of more than ENUM_SUBSET_BUDGET subsets and
     more than ENUM_SHARD_LIMIT shards are refused with CapacityError, an
     empty size_filter with ParameterError.
     """
@@ -612,8 +597,8 @@ def enumerate_and_check(
     for k in filt or ():
         if not 0 <= k <= order:
             raise ParameterError(f"size {k} out of range [0, {order}]")
-    if order > ENUM_FILTERED_LIMIT:
-        raise CapacityError(f"enumeration capped at order {ENUM_FILTERED_LIMIT}; got {order}")
+    if order > SWEEP_ORDER_LIMIT:
+        raise CapacityError(f"enumeration capped at order {SWEEP_ORDER_LIMIT}; got {order}")
     sizes = range(order + 1) if filt is None else filt
     total = sum(comb(order, k) for k in sizes)
     if total > ENUM_SUBSET_BUDGET:

@@ -61,7 +61,3 @@ def serialize_set(A: GroupSet) -> str:
     lines = [f"{A.params.p} {A.params.n}"]
     lines.extend("%d %d" % divmod(i, pn) for i in A.indices())
     return "\n".join(lines) + "\n"
-
-
-def save_set(A: GroupSet, path: str | Path) -> None:
-    Path(path).write_text(serialize_set(A), encoding="utf-8")

@@ -431,3 +431,60 @@ class TestEnumerate:
         text = report.canonical_json()
         assert '"divisibility"' in text
         assert "2 2\\n0 0\\n0 1\\n" in text
+
+
+def _mixed(q, k):
+    # k = m * p^s with 2 <= m <= p - 1: no spectrum of size k exists
+    return any(k == m * q.p**s for m in range(2, q.p) for s in range(q.n + 2))
+
+
+class TestSweepFaultInjection:
+    # Each per-subset check fires when a fault is injected under it: the
+    # expected counts follow from comb() or the uninjected sweep alone.
+    GROUPS = [GroupParams(2, 1), GroupParams(3, 1), P22]
+
+    @staticmethod
+    def _sweep(q):
+        # the injected report, the same at 1 and 2 shards
+        reports = [enumerate_and_check(q, shards=s) for s in (1, 2)]
+        assert reports[0].canonical_json() == reports[1].canonical_json()
+        return reports[0]
+
+    @staticmethod
+    def _kinds(report, kind):
+        return [mm for mm in report.mismatches if mm.kind == kind]
+
+    @pytest.mark.parametrize("q", GROUPS, ids=lambda q: f"p{q.p}n{q.n}")
+    def test_forced_divisor(self, q, monkeypatch):
+        monkeypatch.setattr(oracle, "divisibility_exponent", lambda profile: 3)
+        report = self._sweep(q)
+        d = q.p**3
+        found = self._kinds(report, "divisibility")
+        assert len(found) == len(report.mismatches)
+        assert len(found) == sum(comb(q.order, k) for k in range(1, q.order + 1) if k % d)
+        for mm in found:
+            assert mm.size % d and mm.detail == f"certified divisor {d} does not divide {mm.size}"
+
+    @pytest.mark.parametrize("q", GROUPS, ids=lambda q: f"p{q.p}n{q.n}")
+    def test_clique_for_every_subset(self, q, monkeypatch):
+        monkeypatch.setattr(oracle, "_find_clique", lambda t, zmask, k: (1 << k) - 1)
+        report = self._sweep(q)
+        sizes = range(1, q.order + 1)
+        assert report.spectral == 2**q.order - 1
+        witness = self._kinds(report, "witness")
+        assert len(witness) == sum(comb(q.order, k) for k in sizes if _mixed(q, k))
+        assert all(_mixed(q, mm.size) for mm in witness)
+        pigeonhole = self._kinds(report, "pigeonhole")
+        assert len(pigeonhole) == sum(comb(q.order, k) for k in sizes if q.pn < k < q.order)
+        assert all(q.pn < mm.size < q.order for mm in pigeonhole)
+
+    @pytest.mark.parametrize("q", GROUPS, ids=lambda q: f"p{q.p}n{q.n}")
+    def test_no_cover_found(self, q, monkeypatch):
+        clean = enumerate_and_check(q)
+        monkeypatch.setattr(oracle, "_find_cover", lambda t, mask: None)
+        report = self._sweep(q)
+        assert report.tiles == 0 and report.spectral == clean.spectral
+        assert len(report.mismatches) == clean.spectral
+        assert {(mm.kind, mm.detail) for mm in report.mismatches} == {
+            ("theorem", "tile=False but spectral=True")
+        }

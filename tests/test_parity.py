@@ -2,8 +2,8 @@
 
 Seeded random pairs on every small group: the pair checks against their
 definitions through difference sets and is_zero_equidist, the zero set
-against exact cyclotomic evaluation, and the bitmap scan against
-from_indices.
+against exact cyclotomic evaluation, the S2T-ps Case3 witness against
+a scan over pairs of B, and the bitmap scan against from_indices.
 """
 
 import random
@@ -21,8 +21,11 @@ from spectile import (
     is_zero_equidist,
     spectral_pair_violation,
     tiling_pair_violation,
+    valuation,
     zero_set,
 )
+from spectile.constructions import _case3_witness
+from spectile.errors import InvalidInputError
 
 from conftest import SMALL_PARAMS
 
@@ -46,6 +49,21 @@ def first_spectral_failure(A, B):
         for v in elems[i + 1:]:
             if not is_zero_equidist(A, v - u):
                 return v - u
+    return None
+
+
+def case3_witness_scan(q, B, j0):
+    # the first pair of B, in ascending index order, with t != t' and a
+    # difference x - x' of valuation n-1-j0, with c = c' * (t-t')^-1 mod p
+    # for c' the digit of x - x' at n-1-j0
+    target = q.n - 1 - j0
+    coords = [divmod(i, q.pn) for i in B.indices()]
+    for i, (t1, x1) in enumerate(coords):
+        for t2, x2 in coords[i + 1:]:
+            d = (x1 - x2) % q.pn
+            if t1 != t2 and d and valuation(d, q.p, q.n) == target:
+                c = d // q.p**target % q.p * pow(t1 - t2, -1, q.p) % q.p
+                return c, [[t1, x1], [t2, x2]]
     return None
 
 
@@ -84,6 +102,25 @@ def test_spectral_witness_is_first_failing_pair(q):
         expected = first_spectral_failure(A, B)
         assert spectral_pair_violation(A, B) == expected
         outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "q", SMALL_PARAMS + [GroupParams(5, 1), GroupParams(2, 4)], ids=lambda q: f"p{q.p}n{q.n}"
+)
+def test_case3_witness_is_first_pair_of_valuation(q):
+    rng = random.Random(SEED)
+    outcomes = set()
+    for _ in range(TRIALS):
+        B = random_set(rng, q, rng.randint(1, q.order))
+        for j0 in range(q.n):
+            expected = case3_witness_scan(q, B, j0)
+            if expected is None:
+                with pytest.raises(InvalidInputError):
+                    _case3_witness(q, B, j0)
+            else:
+                assert _case3_witness(q, B, j0) == expected
+            outcomes.add(expected is None)
     assert outcomes == {True, False}
 
 
