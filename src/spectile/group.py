@@ -6,13 +6,8 @@ A subset is a bitmap over the linear indices
     index(x, y) = x * p^n + y,
 
 so membership, translation, and difference sets are word operations on a
-single Python integer.  difference_set builds A - A as the OR of the |A|
-translates A - a, at any order.  The sweep's tile memo needs A - A for
-every subset, so up to order 32, the largest a sweep visits,
-GroupTables.difference_mask reads it from per-group tables instead: the
-bitmap is cut into 4-bit chunks and one 256-entry table per pair of
-chunks holds the differences between their two nibbles, so A - A is the
-OR of at most 36 lookups.  The inner product used throughout is
+single Python integer: difference_set is the OR of the |A| translates
+A - a.  The inner product used throughout is
 
     <u, v> = p^(n-1) * u.x * v.x + u.y * v.y   (mod p^n),
 
@@ -36,17 +31,11 @@ from .errors import CapacityError, ParameterError
 DEFAULT_ORDER_LIMIT = 2**24
 
 # Largest order an exhaustive sweep accepts, and so the largest for which
-# profile_key's and difference_mask's tables are built: at most 4 tables
-# of 256 packed counts and 36 of 256 difference bitmaps.  Single-set
-# operations count residues and shift bitmaps instead.
+# profile_key's tables are built: at most 4 tables of 256 packed counts.
+# Single-set operations count residues instead.
 SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
-# Width of the mask chunks difference_mask's tables are indexed by: one
-# table of 2^(2 * _DIFF_CHUNK) entries per pair of chunks, so at most 36
-# tables of 256 entries up to order 32.  Byte chunks would need 65,536
-# entries per pair.
-_DIFF_CHUNK = 4
 # Below this order the translation rotation masks are prebuilt as lists
 # (the enumeration hot path); above it each translation builds its own.
 _EAGER_TABLE_LIMIT = 4096
@@ -338,9 +327,7 @@ def scale_translate(A: GroupSet, a: int, g: Element) -> GroupSet:
 def difference_set(A: GroupSet) -> GroupSet:
     """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty.
 
-    The OR of the |A| translates A - a, at any order.  The sweep reads
-    A - A from GroupTables.difference_mask's tables instead, which are
-    only built up to order 32.
+    The OR of the |A| translates A - a, at any order.
     """
     t = group_tables(A.params)
     out = 0
@@ -378,7 +365,7 @@ class GroupTables:
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
         "reps", "rep_count", "rep_elem_index", "_units", "_class_masks",
-        "_key_tables", "_diff_tables", "_rot_keep", "_rot_move",
+        "_key_tables", "_rot_keep", "_rot_move",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -405,7 +392,6 @@ class GroupTables:
         self._units = None
         self._class_masks = None
         self._key_tables = None
-        self._diff_tables = None
         if order <= _EAGER_TABLE_LIMIT:
             keep, move = [0], [0]
             for gy in range(1, pn):
@@ -447,13 +433,6 @@ class GroupTables:
             self._class_masks = class_masks
         return self._class_masks
 
-    def _require_sweep_order(self, tables: str) -> None:
-        if self.order > SWEEP_ORDER_LIMIT:
-            raise CapacityError(
-                f"{tables} tables are only built up to order {SWEEP_ORDER_LIMIT}; "
-                f"got {self.order}"
-            )
-
     def _build_key_tables(self) -> tuple:
         """Byte tables of packed slice counts, and one field mask per rep.
 
@@ -464,7 +443,11 @@ class GroupTables:
         are one table lookup per byte.  Mask rid selects every field of the
         rep whose right-hand neighbour lies in the same class.
         """
-        self._require_sweep_order("profile_key")
+        if self.order > SWEEP_ORDER_LIMIT:
+            raise CapacityError(
+                f"profile_key tables are only built up to order {SWEEP_ORDER_LIMIT}; "
+                f"got {self.order}"
+            )
         p, pn, pn1, w = self.p, self.pn, self.pn1, _FIELD_BITS
         packed = [0] * self.order
         for idx in range(self.order):
@@ -483,57 +466,6 @@ class GroupTables:
         masks = [(1 << rid, (field_low << w * rid * pn) * ((1 << w) - 1))
                  for rid in range(self.rep_count)]
         return tables, masks
-
-    def _build_diff_tables(self) -> tuple:
-        """The chunk offsets of a mask, and one 256-entry table per pair of
-        4-bit chunks i <= j, listed as (table, i, j).
-
-        Entry u << 4 | v of pair (i, j) is the bitmap of a - b and b - a
-        over a in nibble u of chunk i and b in nibble v of chunk j; it is
-        the OR of the entries for the lowest bit of u (or of v) and for the
-        rest, so each entry costs one OR.
-        """
-        self._require_sweep_order("difference")
-        order, w, sub = self.order, _DIFF_CHUNK, self.sub_index
-        side = 1 << w
-        starts = range(0, order, w)
-        tables = []
-        for i, base_i in enumerate(starts):
-            for j, base_j in enumerate(starts[i:], i):
-                table = [0] * side * side
-                for u in range(1, side):
-                    for v in range(1, side):
-                        if u & (u - 1):
-                            low = u & -u
-                            entry = table[low << w | v] | table[(u ^ low) << w | v]
-                        elif v & (v - 1):
-                            low = v & -v
-                            entry = table[u << w | low] | table[u << w | (v ^ low)]
-                        else:
-                            a = base_i + u.bit_length() - 1
-                            b = base_j + v.bit_length() - 1
-                            entry = 1 << sub(a, b) | 1 << sub(b, a) if max(a, b) < order else 0
-                        table[u << w | v] = entry
-                tables.append((table, i, j))
-        return list(starts), tables
-
-    def difference_mask(self, mask: int) -> int:
-        """Bitmap of A - A = {a - b : a, b in A} for the set with this mask.
-
-        The OR over every pair of 4-bit chunks i <= j of one table lookup,
-        indexed by the two nibbles: 28 lookups at order 25, 36 at order 32.
-        Groups above order 32 are refused with CapacityError.
-        """
-        if self._diff_tables is None:
-            self._diff_tables = self._build_diff_tables()
-        starts, tables = self._diff_tables
-        w = _DIFF_CHUNK
-        chunk = (1 << w) - 1
-        nibbles = [mask >> s & chunk for s in starts]
-        out = 0
-        for table, i, j in tables:
-            out |= table[nibbles[i] << w | nibbles[j]]
-        return out
 
     def neg_index(self, idx: int) -> int:
         x, y = divmod(idx, self.pn)

@@ -14,15 +14,13 @@ by the group order, not by the recursion limit.
 enumerate_and_check sweeps the subsets of the given cardinalities (all
 of them by default), decides tile and spectral for every subset by the
 oracles, cross-checks the constructive algorithms on every positive, and
-reports any disagreement.  Both verdicts are memoized: the spectral one
-on the zero profile and |A|, the tile one on A - A and |A|, since A tiles
-with T exactly when |A||T| = |G| and the two difference sets meet only
-at 0.  A spectral entry also holds the divisibility, size-obstruction and
-pigeonhole checks, which depend only on the profile and |A|: they are
-decided once per entry and reported on every subset it serves.  Both
-keys are table lookups: the profile from per-byte packed counts, A - A
-from per-nibble-pair difference bits (GroupTables.difference_mask).
-The canonical filter is canonicalize's orbit scan, stopped at the first
+reports any disagreement.  One memo on the zero profile and |A| holds
+both verdicts (A tiles with T exactly when |A||T| = |G| and Z(A) and
+Z(T) together hold every nonzero character) and every check that
+depends only on them: divisibility, size obstruction, pigeonhole and
+tile against spectral are decided once per entry and reported on every
+subset it serves.  The key is summed from per-byte table lookups.  The
+canonical filter is canonicalize's orbit scan, stopped at the first
 smaller image.  Work is split into shards whose merge is independent of
 the shard count, so reports are byte-identical however the sweep is
 partitioned: the colex ranks of each size are cut into blocks of
@@ -372,9 +370,10 @@ class EnumerationReport:
 
     wall_time, stats and shard_stats are informational and excluded from
     the canonical serialization so reports compare byte-for-byte across
-    shard counts.  stats maps each verdict memo ("spectral", "tile") to its
-    lookups and misses, summed over shards; shard_stats holds each shard's
-    (subsets examined, seconds), in shard order.
+    shard counts.  stats maps each verdict ("spectral", "tile") to its memo
+    lookups and misses (a tile miss is one complement search), summed over
+    shards; shard_stats holds each shard's (subsets examined, seconds), in
+    shard order.
     """
 
     params: GroupParams
@@ -461,14 +460,14 @@ def _run_shard(args: tuple) -> tuple:
     order = t.order
     all_reps = (1 << t.rep_count) - 1
     pn = t.pn
-    # Both memos map (key, k), packed as key * (order + 1) + k (injective
-    # since k <= order, and cheaper than a tuple in the hot loop).  A miss
-    # adds one entry, so a memo's misses are its length.  A spectral entry
-    # holds the profile, the spectrum mask (0 if none) and the (kind,
-    # detail) of every check that fails on each set with that profile and
-    # size; a tile entry holds the complement mask, 0 if none.
-    smemo: dict[int, tuple[ZeroProfile, int, tuple]] = {}  # key: zero profile
-    tmemo: dict[int, int] = {}  # key: difference set
+    # The memo maps (profile key, k), packed as key * (order + 1) + k
+    # (injective since k <= order, and cheaper than a tuple in the hot
+    # loop), to both verdicts: a complement of one set with that profile
+    # and size is a complement of every such set.  An entry holds the
+    # profile, the spectrum and complement masks (0 if none) and the
+    # (kind, detail) of every check that fails on each set it serves.  A
+    # miss adds one entry, so the spectral misses are the memo's length.
+    memo: dict[int, tuple[ZeroProfile, int, int, tuple]] = {}
     # constructed complement mask -> its profile key, for the zero-cover check
     t2keys: dict[int, int] = {}
 
@@ -476,11 +475,11 @@ def _run_shard(args: tuple) -> tuple:
     orbits = 0
     empties = 0
     tile_lookups = 0
+    covers = 0  # _find_cover calls, the tile misses
     tiles = 0
     spectral = 0
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
-    difference_mask = t.difference_mask
 
     def round_trip(name, mask, k, partner, profile):
         # the construction is looked up by name on each call, so a wrapper
@@ -499,6 +498,8 @@ def _run_shard(args: tuple) -> tuple:
     first = 0  # sweep-wide number of the current size's first block
     for k in sizes:
         mixed = k > 0 and classify_size(k, params).kind == "mixed"
+        divides = k > 0 and order % k == 0
+        looked_up = orbits if use_canonical else examined
         for mask in _k_subsets(order, k, (shard_i - first) % shard_n, shard_n):
             examined += 1
             if use_canonical:
@@ -509,11 +510,13 @@ def _run_shard(args: tuple) -> tuple:
                 empties += 1
                 continue
             pkey = profile_key(mask)
-            skey = pkey * (order + 1) + k
-            entry = smemo.get(skey)
+            key = pkey * (order + 1) + k
+            entry = memo.get(key)
             if entry is None:
                 profile = ZeroProfile(params, pkey)
                 bmask = _find_clique(t, profile.zero_mask(), k) or 0
+                tmask = (_find_cover(t, mask) or 0) if divides else 0
+                covers += divides
                 dp = p ** divisibility_exponent(profile)
                 failed = []
                 if k % dp:
@@ -522,27 +525,19 @@ def _run_shard(args: tuple) -> tuple:
                     failed.append(("witness", "spectrum found despite size obstruction"))
                 if bmask and pn < k < order:
                     failed.append(("pigeonhole", "spectral set larger than p^n is not the group"))
-                entry = smemo[skey] = (profile, bmask, tuple(failed))
-            profile, bmask, failed = entry
+                tl, sp = tmask != 0, bmask != 0
+                if tl != sp:
+                    failed.append(("theorem", f"tile={tl} but spectral={sp}"))
+                entry = memo[key] = (profile, bmask, tmask, tuple(failed))
+            profile, bmask, tmask, failed = entry
             for kind, detail in failed:
                 mismatches.append(Mismatch(kind, mask, k, detail))
-            tmask = 0
-            if order % k == 0:
-                tile_lookups += 1
-                tkey = difference_mask(mask) * (order + 1) + k
-                tmask = tmemo.get(tkey, -1)
-                if tmask == -1:
-                    tmask = tmemo[tkey] = _find_cover(t, mask) or 0
-            tl = tmask != 0
-            sp = bmask != 0
-            tiles += tl
-            spectral += sp
-            if tl != sp:
-                mismatches.append(Mismatch("theorem", mask, k, f"tile={tl} but spectral={sp}"))
-            if tl:
+            if tmask:
+                tiles += 1
                 round_trip("spectrum_from_tile", mask, k, tmask, profile)
-            if not sp:
+            if not bmask:
                 continue
+            spectral += 1
             T2 = round_trip("complement_from_spectrum", mask, k, bmask, profile)
             if T2 is None:
                 continue
@@ -553,10 +548,12 @@ def _run_shard(args: tuple) -> tuple:
                 mismatches.append(
                     Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
                 )
+        if divides:
+            tile_lookups += (orbits if use_canonical else examined) - looked_up
         first += -(-comb(order, k) // _SHARD_BLOCK)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
-    memo_stats = (spectral_lookups, len(smemo), tile_lookups, len(tmemo))
+    memo_stats = (spectral_lookups, len(memo), tile_lookups, covers)
     return (
         examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats,
         time.perf_counter() - start,

@@ -226,35 +226,8 @@ class TestDifferenceSet:
         g = q.element_from_index(data.draw(st.integers(0, q.order - 1)))
         assert difference_set(scale_translate(A, 1, g)) == D
 
-
-class TestDifferenceMask:
-    @pytest.mark.parametrize(
-        "q", [q for q in SMALL_PARAMS if q.order <= 16], ids=lambda q: f"p{q.p}n{q.n}"
-    )
-    def test_matches_difference_set_on_every_mask(self, q):
-        t = group_tables(q)
-        for mask in range(1 << q.order):
-            assert t.difference_mask(mask) == difference_set(GroupSet(q, mask)).mask, mask
-
-    @pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (2, 4)])
-    def test_matches_difference_set_on_seeded_masks(self, p, n):
-        # orders 25, 27 and 32: partial last chunk, and all 8 chunks with
-        # the top bit 31 set in some masks
-        q = GroupParams(p, n)
-        t = group_tables(q)
-        rng = random.Random(p * 100 + n)
-        masks = [rng.getrandbits(q.order) for _ in range(300)]
-        masks += [GroupSet.from_indices(q, rng.sample(range(q.order), k)).mask
-                  for k in range(1, q.order + 1) for _ in range(10)]
-        masks += [1 << (q.order - 1), 1 | 1 << (q.order - 1), (1 << q.order) - 1]
-        for mask in masks:
-            assert t.difference_mask(mask) == difference_set(GroupSet(q, mask)).mask, mask
-
-    def test_tables_refused_above_order_32(self):
-        # order 64: no tables are built; difference_set needs none
+    def test_matches_pairwise_differences_at_order_64(self):
         q = GroupParams(2, 5)
-        with pytest.raises(CapacityError):
-            group_tables(q).difference_mask(1)
         rng = random.Random(64)
         for k in (1, 2, 5, 13):
             A = GroupSet.from_indices(q, rng.sample(range(q.order), k))
@@ -282,7 +255,9 @@ class TestGroupTables:
 
     def test_profile_key_refused_above_fiber_limit(self):
         # only sweeps use the fiber tables; single-set paths count residues
-        with pytest.raises(CapacityError):
+        with pytest.raises(
+            CapacityError, match="^profile_key tables are only built up to order 32; got 8192$"
+        ):
             group_tables(GroupParams(2, 12)).profile_key(1)
 
     @pytest.mark.parametrize("p, n", [(3, 7), (67, 1)])

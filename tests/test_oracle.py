@@ -119,6 +119,26 @@ class TestBruteForceSearches:
         assert find_complement_bruteforce(GroupSet.full(P22)) == GroupSet.from_indices(P22, [0])
 
     @pytest.mark.parametrize(
+        "q", [q for q in SMALL_PARAMS if q.order <= 16], ids=lambda q: f"p{q.p}n{q.n}"
+    )
+    def test_complement_shared_by_zero_profile_and_size(self, q):
+        # A tiles with T exactly when |A||T| = |G| and Z(A) and Z(T) hold
+        # every nonzero character between them, so the sets with one zero
+        # profile and size all tile or none does, and one complement serves
+        # them all: the sweep's memo hands out one complement per entry
+        groups: dict[tuple[int, int], list[GroupSet]] = {}
+        for mask in range(1, 1 << q.order):
+            k = mask.bit_count()
+            if q.order % k == 0:
+                A = GroupSet(q, mask)
+                groups.setdefault((zero_set(A).key(), k), []).append(A)
+        for sets in groups.values():
+            complements = [find_complement_bruteforce(A) for A in sets]
+            assert len({T is None for T in complements}) == 1
+            if complements[0] is not None:
+                assert all(verify_tiling_pair(A, complements[0]) for A in sets)
+
+    @pytest.mark.parametrize(
         "q", [GroupParams(2, 1), GroupParams(3, 1), P22], ids=lambda q: f"p{q.p}n{q.n}"
     )
     def test_complement_matches_independent_scan(self, q):
@@ -377,9 +397,11 @@ class TestEnumerate:
 
     def test_memo_stats(self):
         report = enumerate_and_check(GroupParams(5, 1), size_filter=[5], shards=1)
+        # one complement search per memo entry whose size divides |G|: all
+        # of them here
         assert report.stats == {
             "spectral": {"lookups": 53130, "misses": 28},
-            "tile": {"lookups": 53130, "misses": 624},
+            "tile": {"lookups": 53130, "misses": report.stats["spectral"]["misses"]},
         }
         assert report.tiles == report.spectral == 17130
         assert report.mismatches == []
@@ -488,3 +510,23 @@ class TestSweepFaultInjection:
         assert {(mm.kind, mm.detail) for mm in report.mismatches} == {
             ("theorem", "tile=False but spectral=True")
         }
+
+    @pytest.mark.parametrize("q", GROUPS, ids=lambda q: f"p{q.p}n{q.n}")
+    def test_wrong_complement_for_every_subset(self, q, monkeypatch):
+        # {0} tiles only G: each subset's own round trip must refuse the
+        # complement its memo entry hands out
+        clean = enumerate_and_check(q)
+        assert clean.mismatches == []  # so every spectral set has a size dividing |G|
+        monkeypatch.setattr(oracle, "_find_cover", lambda t, mask: 1)
+        report = self._sweep(q)
+        sizes = [k for k in range(1, q.order + 1) if q.order % k == 0]
+        construction = self._kinds(report, "construction")
+        assert len(construction) == sum(comb(q.order, k) for k in sizes if k < q.order)
+        assert {mm.detail for mm in construction} == {
+            "spectrum_from_tile: InvalidInputError: "
+            "supplied complement fails the tiling-pair check"
+        }
+        theorem = self._kinds(report, "theorem")
+        assert len(theorem) == sum(comb(q.order, k) for k in sizes) - clean.spectral
+        assert {mm.detail for mm in theorem} <= {"tile=True but spectral=False"}
+        assert len(report.mismatches) == len(construction) + len(theorem)
