@@ -30,9 +30,10 @@ from .errors import CapacityError, ParameterError
 # on 2-element sets; a bitmap here is a 2 MB integer.
 DEFAULT_ORDER_LIMIT = 2**24
 
-# Largest order an exhaustive sweep accepts, and so the largest for which
-# profile_key's tables are built: at most 4 tables of 256 packed counts.
-# Single-set operations count residues instead.
+# Largest order an exhaustive sweep or canonicalize accepts, and so the
+# largest for which the byte tables of profile_key and the orbit scan are
+# built: at most 4 tables of 256 entries per table set.  Single-set
+# operations count residues instead.
 SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
@@ -365,7 +366,7 @@ class GroupTables:
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
         "reps", "rep_count", "rep_elem_index", "_units", "_class_masks",
-        "_key_tables", "_rot_keep", "_rot_move",
+        "_key_tables", "_orbit_tables", "_rot_keep", "_rot_move",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -392,8 +393,9 @@ class GroupTables:
         self._units = None
         self._class_masks = None
         self._key_tables = None
+        self._orbit_tables = None
         if order <= _EAGER_TABLE_LIMIT:
-            keep, move = [0], [0]
+            keep, move = [self.full_mask], [0]  # rotating by 0 keeps every bit
             for gy in range(1, pn):
                 k = self._replicated_low_bits(pn - gy)
                 keep.append(k)
@@ -433,6 +435,27 @@ class GroupTables:
             self._class_masks = class_masks
         return self._class_masks
 
+    def _require_table_order(self, what: str) -> None:
+        if self.order > SWEEP_ORDER_LIMIT:
+            raise CapacityError(
+                f"{what} tables are only built up to order {SWEEP_ORDER_LIMIT}; "
+                f"got {self.order}"
+            )
+
+    def _byte_tables(self, images: list[int]) -> list[list[int]]:
+        """One table per byte of a mask, mapping the byte's value to the sum
+        of images[idx] over its set bits idx, so a function that is
+        additive over the elements of a set is one lookup per byte."""
+        tables = []
+        for base in range(0, self.order, 8):
+            table = [0] * 256
+            for byte in range(1, 256):
+                low = (byte & -byte).bit_length() - 1
+                if base + low < self.order:
+                    table[byte] = table[byte & (byte - 1)] + images[base + low]
+            tables.append(table)
+        return tables
+
     def _build_key_tables(self) -> tuple:
         """Byte tables of packed slice counts, and one field mask per rep.
 
@@ -443,29 +466,49 @@ class GroupTables:
         are one table lookup per byte.  Mask rid selects every field of the
         rep whose right-hand neighbour lies in the same class.
         """
-        if self.order > SWEEP_ORDER_LIMIT:
-            raise CapacityError(
-                f"profile_key tables are only built up to order {SWEEP_ORDER_LIMIT}; "
-                f"got {self.order}"
-            )
+        self._require_table_order("profile_key")
         p, pn, pn1, w = self.p, self.pn, self.pn1, _FIELD_BITS
         packed = [0] * self.order
         for idx in range(self.order):
             for rid, u in enumerate(self.rep_elem_index):
                 j, c = divmod(self.inner(idx, u), pn1)
                 packed[idx] += 1 << w * (rid * pn + c * p + j)
-        tables = []
-        for base in range(0, self.order, 8):
-            table = [0] * 256
-            for byte in range(1, 256):
-                low = (byte & -byte).bit_length() - 1
-                if base + low < self.order:
-                    table[byte] = table[byte & (byte - 1)] + packed[base + low]
-            tables.append(table)
+        tables = self._byte_tables(packed)
         field_low = sum(1 << w * (c * p + j) for c in range(pn1) for j in range(p - 1))
         masks = [(1 << rid, (field_low << w * rid * pn) * ((1 << w) - 1))
                  for rid in range(self.rep_count)]
         return tables, masks
+
+    def _build_orbit_tables(self) -> tuple:
+        """What the orbit scan of oracle._orbit_min reads; kept after the
+        first call.  Refused above SWEEP_ORDER_LIMIT.
+
+        - The bits of x = 0 and the bits of y = 0.
+        - Per unit a of Z_{p^n}, ascending, the byte tables of the scaling
+          e -> a*e, or None for a = 1.  A unit permutes the elements, so
+          the sum of the images of a mask's elements is the bitmap of a*mask.
+        - Per y offset gy in 0..p^n - 1, the (keep mask, left shift, move
+          mask, right shift) that translates a doubled bitmap m | m << order
+          by (0, gy): the masks cover both copies.
+        - Per x offset gx, 0 last, the right shift order - gx*p^n that,
+          cut to the order, takes the doubled bitmap to its translate by
+          (gx, 0).
+        """
+        self._require_table_order("orbit scan")
+        p, pn, order = self.p, self.pn, self.order
+        scalings = [None]
+        for a in self.units[1:]:  # units[0] is 1
+            images = [1 << (a * x % p * pn + a * y % pn) for x in range(p) for y in range(pn)]
+            scalings.append(self._byte_tables(images))
+        y_rotations = [
+            (keep | keep << order, gy, move | move << order, pn - gy)
+            for gy, (keep, move) in enumerate(zip(self._rot_keep, self._rot_move))
+        ]
+        x_shifts = [order - gx * pn for gx in (*range(1, p), 0)]
+        self._orbit_tables = (
+            (1 << pn) - 1, self._rot_keep[pn - 1], scalings, y_rotations, x_shifts,
+        )
+        return self._orbit_tables
 
     def neg_index(self, idx: int) -> int:
         x, y = divmod(idx, self.pn)

@@ -21,17 +21,19 @@ depends only on them: divisibility, size obstruction, pigeonhole and
 tile against spectral are decided once per entry and reported on every
 subset it serves.  The key is summed from per-byte table lookups.  The
 canonical filter is canonicalize's orbit scan, stopped at the first
-smaller image.  Work is split into shards whose merge is independent of
-the shard count, so reports are byte-identical however the sweep is
-partitioned: the colex ranks of each size are cut into blocks of
-_SHARD_BLOCK, walked by Gosper's successor, and the blocks of all sizes,
-numbered in one sequence, are dealt round-robin to the shards.
+smaller image: two ANDs reject a set with no element on y = 0 or none on
+x = 0, and the scan sums each unit multiple from per-byte tables and
+rotates it through the translations by masked shifts.  Work is split
+into shards whose merge is independent of the shard count, so reports
+are byte-identical however the sweep is partitioned: the colex ranks
+of each size are cut into blocks of _SHARD_BLOCK, walked by Gosper's
+successor, and the blocks of all sizes, numbered in one sequence, are
+dealt round-robin to the shards.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -331,22 +333,53 @@ def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
 
     With first_below the scan stops at the first image below mask and
     returns it, so the result equals mask exactly when mask is the orbit
-    minimum; the sweep's canonical filter needs only that answer.
+    minimum; the sweep's canonical filter needs only that answer.  Two
+    ANDs settle most masks before any scan: a nonempty orbit minimum has
+    an element with y = 0 (else shifting every y down by one lowers
+    every bit) and one with x = 0 (likewise for x).  So without an
+    element on y = 0, mask >> 1 is its translate by (0, -1) and lies
+    below it; without one on x = 0, mask >> p^n is its translate by
+    (-1, 0).  The scan sums a*mask from byte tables for each unit a,
+    doubles it to m | m << |G|, and walks the translations y offset first:
+    a y offset is two masked shifts of the doubled bitmap, and each x
+    offset one right shift cut to the order.  Only the minimum or the
+    verdict is returned, so the scan order is free.
     """
+    x0, y0, scalings, y_rotations, x_shifts = t._orbit_tables or t._build_orbit_tables()
+    if first_below and mask:
+        if not mask & y0:
+            return mask >> 1
+        if not mask & x0:
+            return mask >> t.pn
+    full, order = t.full_mask, t.order
     best = mask
-    for a in t.units:
-        base = mask if a == 1 else t.scale_mask(mask, a)
-        for g in range(a == 1, t.order):  # a = 1, g = 0 maps mask to itself
-            img = t.translate_mask(base, g)
-            if img < best:
-                if first_below:
-                    return img
-                best = img
+    for tables in scalings:
+        if tables is None:  # a = 1
+            scaled = mask
+        else:
+            scaled = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+        doubled = scaled | scaled << order
+        for keep, up, move, down in y_rotations:
+            rot = (doubled & keep) << up | (doubled & move) >> down
+            for right in x_shifts:
+                img = rot >> right & full
+                if img < best:
+                    if first_below:
+                        return img
+                    best = img
     return best
 
 
 def canonicalize(A: GroupSet) -> GroupSet:
-    """Lexicographically smallest bitmap in the orbit {a*A + g : a unit, g in G}."""
+    """Lexicographically smallest bitmap in the orbit {a*A + g : a unit, g in G}.
+
+    Groups above order SWEEP_ORDER_LIMIT, where the orbit scan's byte
+    tables stop, are refused with CapacityError.
+    """
+    if A.params.order > SWEEP_ORDER_LIMIT:
+        raise CapacityError(
+            f"canonicalize capped at order {SWEEP_ORDER_LIMIT}; got {A.params.order}"
+        )
     return GroupSet(A.params, _orbit_min(group_tables(A.params), A.mask, False))
 
 
@@ -608,6 +641,8 @@ def enumerate_and_check(
     if shards == 1:
         results = [_run_shard(args[0])]
     else:
+        import multiprocessing  # only a sharded sweep pays for the import
+
         workers = min(shards, os.cpu_count() or 1)
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_shard, args)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 from time import perf_counter
 
@@ -215,12 +216,10 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--p", "2", "--n", "4"]) == 3
 
     def test_shard_count_above_limit_exits_3(self, monkeypatch, capsys):
-        import spectile.oracle as oracle_mod
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert main(["enumerate", "--p", "2", "--n", "1", "--shards", str(10**12)]) == 3
         assert "shards" in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+import multiprocessing
+import random
 import signal
 from itertools import combinations
 from math import comb
@@ -46,6 +48,38 @@ def _within(seconds, fn, *args):
         signal.signal(signal.SIGALRM, previous)
 
 P22 = GroupParams(2, 2)
+
+
+def _burnside_orbits(q: GroupParams) -> list[int]:
+    """Orbits of the affine maps e -> a*e + g on the k-subsets, per k.
+
+    By Burnside's lemma: a map whose cycles have lengths l_1, l_2, ...
+    fixes as many k-subsets as the z^k coefficient of the product of the
+    (1 + z^l_i), and the orbit count is that coefficient averaged over
+    the |units| * |G| maps.
+    """
+    order = q.order
+    totals = [0] * (order + 1)
+    maps = 0
+    for a in q.units():
+        for gi in range(order):
+            g = q.element_from_index(gi)
+            perm = [(q.element_from_index(i).scale(a) + g).index for i in range(order)]
+            fixed = [1] + [0] * order
+            seen = [False] * order
+            for s in range(order):
+                length, j = 0, s
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j]
+                    length += 1
+                if length:
+                    fixed = [c + (fixed[k - length] if k >= length else 0)
+                             for k, c in enumerate(fixed)]
+            totals = [t + f for t, f in zip(totals, fixed)]
+            maps += 1
+    assert all(t % maps == 0 for t in totals)
+    return [t // maps for t in totals]
 
 
 class TestVerifiers:
@@ -249,6 +283,50 @@ class TestCanonicalize:
             kept = oracle._orbit_min(t, mask, True) == mask
             assert kept == (canonicalize(GroupSet(q, mask)).mask == mask), mask
 
+    @pytest.mark.parametrize(
+        "q",
+        [GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1), GroupParams(2, 4)],
+        ids=lambda q: f"p{q.p}n{q.n}",
+    )
+    def test_orbit_min_matches_scale_translate(self, q):
+        # the reference: every image a*A + g, one scale_translate each
+        t = group_tables(q)
+        order, pn = q.order, q.pn
+        full = (1 << order) - 1
+        on_y0 = sum(1 << x * pn for x in range(q.p))
+        on_x0 = (1 << pn) - 1
+        rng = random.Random(order)
+        masks = [0, full, full ^ on_y0, full ^ on_x0]
+        for _ in range(8):
+            masks.append(rng.getrandbits(order) & ~on_y0)  # fails the y = 0 test
+            masks.append(rng.getrandbits(order) & ~on_x0 | 1 << pn)  # only the x = 0 test
+            masks.append(sum(1 << i for i in rng.sample(range(order), rng.randrange(1, order))))
+        masks.extend(canonicalize(GroupSet(q, m)).mask for m in masks[4:10])
+        for mask in masks:
+            A = GroupSet(q, mask)
+            orbit = {
+                scale_translate(A, a, q.element_from_index(g)).mask
+                for a in q.units()
+                for g in range(order)
+            }
+            least = min(orbit)
+            assert oracle._orbit_min(t, mask, False) == least, mask
+            below = oracle._orbit_min(t, mask, True)
+            if mask == least:
+                assert below == mask
+            else:
+                assert below in orbit and below < mask, mask
+
+    def test_canonicalize_refuses_order_above_the_sweep_cap(self, monkeypatch):
+        def no_tables(params):
+            raise AssertionError("group tables were built")
+
+        monkeypatch.setattr(oracle, "group_tables", no_tables)
+        A = GroupSet(GroupParams(2, 5), 0b11)
+        with pytest.raises(CapacityError) as info:
+            canonicalize(A)
+        assert str(info.value) == "canonicalize capped at order 32; got 64"
+
     def test_constant_on_orbit(self):
         q = GroupParams(3, 1)
         A = make_set(q, [(0, 0), (1, 2), (2, 1)])
@@ -357,29 +435,25 @@ class TestEnumerate:
 
     def test_canonical_mode(self):
         report = enumerate_and_check(P22, use_canonical=True)
-        # independent oracle: Burnside count of affine orbits on subsets
-        q = P22
-        total = 0
-        maps = 0
-        for a in q.units():
-            for gi in range(q.order):
-                g = q.element_from_index(gi)
-                perm = [(q.element_from_index(i).scale(a) + g).index for i in range(q.order)]
-                seen = [False] * q.order
-                cycles = 0
-                for s in range(q.order):
-                    if seen[s]:
-                        continue
-                    cycles += 1
-                    j = s
-                    while not seen[j]:
-                        seen[j] = True
-                        j = perm[j]
-                total += 2**cycles
-                maps += 1
-        assert total % maps == 0
-        assert report.orbits_examined == total // maps == 34
+        assert report.orbits_examined == sum(_burnside_orbits(P22)) == 34
         assert report.tiles == report.spectral == 15
+        assert report.mismatches == []
+
+    @pytest.mark.parametrize(
+        "q, sizes",
+        [
+            (GroupParams(2, 3), None),
+            (GroupParams(5, 1), (5,)),
+            (GroupParams(3, 2), (3, 24)),
+            (GroupParams(3, 2), (3, 6, 21, 24)),
+        ],
+        ids=["z2z8-full", "z5z5-5", "z3z9-3-24", "z3z9-3-6-21-24"],
+    )
+    def test_canonical_orbit_counts_match_burnside(self, q, sizes):
+        report = enumerate_and_check(q, size_filter=sizes, use_canonical=True)
+        per_size = _burnside_orbits(q)
+        expected = sum(per_size if sizes is None else (per_size[k] for k in sizes))
+        assert report.orbits_examined == expected
         assert report.mismatches == []
 
     def test_canonical_shard_determinism(self):
@@ -427,7 +501,7 @@ class TestEnumerate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         with pytest.raises(CapacityError):
             enumerate_and_check(P22, shards=ENUM_SHARD_LIMIT + 1)
         with pytest.raises(CapacityError):
