@@ -36,13 +36,13 @@ from .errors import (
     SpectileError,
 )
 from .group import (
-    ClassRep,
     Element,
     GroupParams,
     GroupSet,
     canonical_rep,
     class_members,
     difference_set,
+    rep_label,
     scale_translate,
     valuation,
 )
@@ -71,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseTrace",
     "CapacityError",
-    "ClassRep",
     "ContradictionError",
     "CyclotomicInt",
     "Element",
@@ -108,6 +107,7 @@ __all__ = [
     "nonspectral_size_witness",
     "parse_set",
     "project_delete_digit",
+    "rep_label",
     "scale_translate",
     "serialize_set",
     "spectral_pair_violation",

@@ -23,7 +23,6 @@ from functools import cached_property
 
 from .errors import ParameterError
 from .group import (
-    ClassRep,
     Element,
     GroupParams,
     GroupSet,
@@ -154,40 +153,33 @@ def char_value_exact(A: GroupSet, u: Element) -> CyclotomicInt:
 class ZeroProfile:
     """The zero set of a subset, reduced to unit-equivalence classes.
 
-    Bit rid of bits is set iff the class of group_tables(params).reps[rid]
-    lies in the zero set.  Every view is derived from bits; reps (the
-    classes) and I (the levels i with (0, p^i) present) are cached on first
-    use, since the sweep hands one profile to many constructions.
+    Bit rid of bits is set iff the class with rep id rid lies in the zero
+    set: bit 0 is (1, 0), and the p bits from 1 + i*p are the classes
+    (c, p^i) of level i, c ascending.  Every view is derived from bits; I
+    (the levels i with (0, p^i) present) is cached on first use, since the
+    sweep hands one profile to many constructions.
     """
 
     params: GroupParams
     bits: int
 
-    @classmethod
-    def from_reps(cls, params: GroupParams, reps) -> "ZeroProfile":
-        all_reps = group_tables(params).reps
-        return cls(params, sum(1 << all_reps.index(r) for r in set(reps)))
+    def rep_ids(self) -> list[int]:
+        """The rep ids in the zero set, ascending: (1,0) first, then (c, p^i)
+        by (i, c), the order analyze prints."""
+        return [rid for rid in range(self.bits.bit_length()) if self.bits >> rid & 1]
 
-    def ordered_reps(self) -> list[ClassRep]:
-        """The classes in rep-id order: (1,0) first, then (c, p^i) by (i, c)."""
-        bits = self.bits
-        return [r for rid, r in enumerate(group_tables(self.params).reps) if bits >> rid & 1]
-
-    @cached_property
-    def reps(self) -> frozenset[ClassRep]:
-        return frozenset(self.ordered_reps())
+    def level(self, i: int) -> int:
+        """The p-bit field of level i: bit c is set iff (c, p^i) is a zero."""
+        p = self.params.p
+        return (self.bits >> 1 + i * p) & ((1 << p) - 1)
 
     @cached_property
     def I(self) -> frozenset[int]:
-        return frozenset(r.i for r in self.ordered_reps() if r.kind == "mixed" and r.c == 0)
+        return frozenset(i for i in range(self.params.n) if self.level(i) & 1)
 
     @property
     def has_unit_axis(self) -> bool:
         return bool(self.bits & 1)
-
-    def mixed_levels(self) -> frozenset[int]:
-        """Levels i carrying any zero (c, p^i), c arbitrary."""
-        return frozenset(r.i for r in self.ordered_reps() if r.kind == "mixed")
 
     def is_empty(self) -> bool:
         return not self.bits
@@ -199,7 +191,7 @@ class ZeroProfile:
     def zero_mask(self) -> int:
         """Bitmap of the full zero set: the sum of its disjoint classes."""
         masks = group_tables(self.params).class_masks
-        return sum(m for rid, m in enumerate(masks) if self.bits >> rid & 1)
+        return sum(masks[rid] for rid in self.rep_ids())
 
 
 def zero_set(A: GroupSet) -> ZeroProfile:

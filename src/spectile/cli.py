@@ -17,7 +17,7 @@ from pathlib import Path
 from . import constructions, oracle, setio
 from .charsum import compare_zero_tests, zero_set
 from .errors import CapacityError, ParameterError, ParseError, SpectileError
-from .group import GroupParams, GroupSet
+from .group import Element, GroupParams, GroupSet, canonical_rep, rep_label
 from .structure import classify_size, divisibility_exponent
 
 EXIT_OK = 0
@@ -53,6 +53,7 @@ def _cmd_analyze(args) -> int:
     sc = classify_size(A.cardinality, q)
     s = divisibility_exponent(profile)
     divides = A.cardinality % q.p**s == 0
+    labels = [rep_label(q.p, rid) for rid in profile.rep_ids()]
     if args.json:
         payload = {
             "p": q.p,
@@ -60,7 +61,7 @@ def _cmd_analyze(args) -> int:
             "cardinality": A.cardinality,
             "size_class": {"kind": sc.kind, "m": sc.m, "s": sc.s},
             "zero_profile": {
-                "reps": [r.label() for r in profile.ordered_reps()],
+                "reps": labels,
                 "I": sorted(profile.I),
                 "has_unit_axis": profile.has_unit_axis,
             },
@@ -71,7 +72,7 @@ def _cmd_analyze(args) -> int:
     else:
         print(f"set: p={q.p} n={q.n} |A|={A.cardinality}")
         print(f"size-class: {sc.kind} (m={sc.m}, s={sc.s})")
-        print("zero-reps: " + (" ".join(r.label() for r in profile.ordered_reps()) or "(none)"))
+        print("zero-reps: " + (" ".join(labels) or "(none)"))
         print("I: {" + ", ".join(str(i) for i in sorted(profile.I)) + "}")
         print(f"has-unit-axis: {str(profile.has_unit_axis).lower()}")
         print(f"divisibility-exponent: {s}")
@@ -84,18 +85,26 @@ def _cmd_check_pair(args) -> int:
     B = _load_set(args.set_b, args.p, args.n)
     if A.params != B.params:
         raise ParameterError("the two set files use different group parameters")
+    # the class of a spectral witness v - u: the class that holds a difference
+    # of B but not a zero of A; a tiling witness or a size message has none
+    label = None
     if args.mode == "spectral":
         violation = oracle.spectral_pair_violation(A, B)
+        if isinstance(violation, Element):
+            label = rep_label(A.params.p, canonical_rep(violation))
     else:
         violation = oracle.tiling_pair_violation(A, B)
     ok = violation is None
     if args.json:
         detail = None if ok else str(violation)
-        print(json.dumps({"mode": args.mode, "ok": ok, "violation": detail}, sort_keys=True))
+        payload = {"mode": args.mode, "ok": ok, "violation": detail, "class": label}
+        print(json.dumps(payload, sort_keys=True))
     else:
         print("true" if ok else "false")
         if not ok:
             print(f"violation: {violation}")
+        if label is not None:
+            print(f"class: {label}")
     return EXIT_OK if ok else EXIT_FAILURE
 
 

@@ -20,7 +20,7 @@ from .errors import (
     MissingPartnerError,
     NonSpectralSizeError,
 )
-from .group import ClassRep, GroupParams, GroupSet, _require_same_params
+from .group import GroupParams, GroupSet, _require_same_params, group_tables
 from .oracle import (
     ORACLE_ORDER_LIMIT,
     _first_pair,
@@ -137,7 +137,7 @@ def spectrum_from_tile(
         # |A| = p: the multiples of any zero form a spectrum.
         if profile.is_empty():
             raise InvalidInputError("zero set is empty; a nontrivial tile cannot have one")
-        zx, zy = divmod(min(_lowest_index(q, r) for r in profile.reps), q.pn)
+        zx, zy = divmod(min(_lowest_index(q, rid) for rid in profile.rep_ids()), q.pn)
         B = GroupSet.from_elements(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
         return B, CaseTrace(
             "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [zx, zy]})
@@ -167,7 +167,7 @@ def spectrum_from_tile(
     profile_T = zero_set(T)
     levels_J = sorted(profile_T.I)
 
-    case, payload = _tile_spectrum_case(q, profile, profile_T, levels_I, levels_J)
+    case, payload = _tile_spectrum_case(q, profile, profile_T)
     if case == "Case2":
         d, b_k = payload["d"], payload["b_k"]
         span = _span_digits(q, levels_I)
@@ -203,47 +203,46 @@ def spectrum_from_tile(
     )
 
 
-def _lowest_index(params: GroupParams, rep: ClassRep) -> int:
-    """Lowest element index in the class of a nonzero representative.
+def _lowest_index(params: GroupParams, rid: int) -> int:
+    """Lowest element index in the class with rep id rid.
 
     The class of (1, 0) is {(s, 0)}, lowest at (1, 0).  The class of
     (c, p^i) is {(s*c, s*p^i)} over units s: for c = 0 its lowest element is
     (0, p^i); otherwise s = c^-1 mod p gives first coordinate 1 and the
     smallest second one.
     """
-    pn = params.pn
-    if rep.kind == "unit_axis":
-        return pn
-    if rep.c == 0:
-        return params.p**rep.i
-    return pn + pow(rep.c, -1, params.p) * params.p**rep.i
+    if rid == 0:
+        return params.pn
+    i, c = divmod(rid - 1, params.p)
+    if c == 0:
+        return params.p**i
+    return params.pn + pow(c, -1, params.p) * params.p**i
 
 
 def _tile_spectrum_case(
-    params: GroupParams,
-    profile_A: ZeroProfile,
-    profile_T: ZeroProfile,
-    levels_I: list[int],
-    levels_J: list[int],
+    params: GroupParams, profile_A: ZeroProfile, profile_T: ZeroProfile
 ) -> tuple[str, dict]:
-    """Case split for |A| = p^t with t-1 axis-zero levels.
+    """Case split for |A| = p^t with t-1 axis-zero levels I of A and
+    complement levels J, the axis-zero levels of T.
 
     Checked in order: Case2 (a mixed zero of A at a complement level, below
     which A carries every mixed zero), then the all-mixed-zeros premise
     (Case3, where (1,0) must annihilate A, not T), then the mirrored Case1
     pattern on T.  The last two returns only fire on non-genuine pairs.
+    In each of Case2 and Case1, d is the least c with (c, p^level) a zero.
     """
-    p = params.p
+    full = (1 << params.p) - 1
+    levels_I, levels_J = sorted(profile_A.I), sorted(profile_T.I)
 
     def full_level(profile: ZeroProfile, i: int) -> bool:
-        return all(ClassRep.mixed(c, i) in profile.reps for c in range(p))
+        return profile.level(i) == full
 
     for b_k in levels_J:
         if not all(full_level(profile_A, a) for a in levels_I if a < b_k):
             continue
-        for d in range(p):
-            if ClassRep.mixed(d, b_k) in profile_A.reps:
-                return "Case2", {"d": d, "b_k": b_k}
+        level = profile_A.level(b_k)
+        if level:
+            return "Case2", {"d": (level & -level).bit_length() - 1, "b_k": b_k}
 
     if all(full_level(profile_A, a) for a in levels_I) and all(
         full_level(profile_T, b) for b in levels_J
@@ -256,9 +255,9 @@ def _tile_spectrum_case(
     for a_k in levels_I:
         if not all(full_level(profile_T, b) for b in levels_J if b < a_k):
             continue
-        for d in range(p):
-            if ClassRep.mixed(d, a_k) in profile_T.reps:
-                return "Case1", {"d": d, "a_k": a_k}
+        level = profile_T.level(a_k)
+        if level:
+            return "Case1", {"d": (level & -level).bit_length() - 1, "a_k": a_k}
     return "NoCase", {}
 
 
@@ -403,15 +402,12 @@ def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[Group
         span = _span_digits(q, positions)
         T = GroupSet.from_elements(q, ((x, y) for x in range(q.p) for y in span))
         return T, CaseTrace("S2T-p", "Case2", {"level": level})
-    # the mixed zero (c, p^i) of lowest element index c * p^n + p^i
-    rep = min(
-        (r for r in profile.reps if r.kind == "mixed"),
-        key=lambda r: r.c * q.pn + q.p**r.i,
-        default=None,
-    )
-    if rep is None:
+    # no (1, 0) and no (0, p^i) here, so every zero is a (c, p^i) with c != 0:
+    # take the one of lowest element index c * p^n + p^i
+    rid = min(profile.rep_ids(), key=group_tables(q).rep_elem_index.__getitem__, default=None)
+    if rid is None:
         raise InvalidInputError("zero set is empty; a nontrivial spectral set cannot have one")
-    c, level = rep.c, rep.i
+    level, c = divmod(rid - 1, q.p)
     cinv = pow(c, -1, q.p)
     T = GroupSet.from_elements(
         q,

@@ -13,8 +13,9 @@ A - a.  The inner product used throughout is
 
 and the multiplicative action of the units of Z_{p^n} is componentwise:
 s * (x, y) = (s*x mod p, s*y mod p^n).  Every nonzero element is a unit
-multiple of exactly one representative of the form (1, 0) or (c, p^i);
-those representatives index the unit-equivalence classes.
+multiple of exactly one representative of the form (1, 0) or (c, p^i).
+Each unit-equivalence class is named by its rep id: 0 for (1, 0) and
+1 + i*p + c for (c, p^i), so a set of classes is a bitmask over rep ids.
 """
 
 from __future__ import annotations
@@ -155,49 +156,6 @@ def _require_same_params(a: GroupParams, b: GroupParams) -> None:
 
 
 @dataclass(frozen=True)
-class ClassRep:
-    """Representative of a unit-equivalence class: (1,0), (c, p^i), or zero.
-
-    kind is one of "zero", "unit_axis", "mixed"; c and i are meaningful for
-    "mixed" only.
-    """
-
-    kind: str
-    c: int = 0
-    i: int = 0
-
-    @classmethod
-    def zero(cls) -> "ClassRep":
-        return cls("zero")
-
-    @classmethod
-    def unit_axis(cls) -> "ClassRep":
-        return cls("unit_axis")
-
-    @classmethod
-    def mixed(cls, c: int, i: int) -> "ClassRep":
-        return cls("mixed", c, i)
-
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    def element(self, params: GroupParams) -> Element:
-        """The defining element of the class: (1,0) for the axis, (c, p^i) for mixed."""
-        if self.kind == "zero":
-            return params.zero()
-        if self.kind == "unit_axis":
-            return params.element(1 % params.p, 0)
-        return params.element(self.c, params.p**self.i)
-
-    def label(self) -> str:
-        if self.kind == "zero":
-            return "(0,0)"
-        if self.kind == "unit_axis":
-            return "(1,0)"
-        return f"({self.c},p^{self.i})"
-
-
-@dataclass(frozen=True)
 class GroupSet:
     """A subset of Z_p x Z_{p^n} stored as a bitmap over element indices."""
 
@@ -295,22 +253,30 @@ def valuation(t: int, p: int, m: int) -> int | None:
     return None if t == 0 else _split_p(t, p)[0]
 
 
-def canonical_rep(u: Element) -> ClassRep:
-    """The unique class representative with u = s * rep for some unit s.
+def rep_label(p: int, rid: int) -> str:
+    """The representative of class rid as analyze prints it: (1,0) or (c,p^i)."""
+    if rid == 0:
+        return "(1,0)"
+    i, c = divmod(rid - 1, p)
+    return f"({c},p^{i})"
+
+
+def canonical_rep(u: Element) -> int:
+    """The rep id of the class of the nonzero element u.
 
     Nonzero classes contain exactly one element of the form (1, 0) or
-    (c, p^i), so no tie-breaking is ever exercised.
+    (c, p^i), so no tie-breaking is ever exercised.  The zero element is
+    a class of its own with no rep id and is refused.
     """
     if u.is_zero():
-        return ClassRep.zero()
-    return group_tables(u.params).reps[_rep_id(u.params.p, u.x, u.y)]
+        raise ParameterError("the zero element has no rep id")
+    return _rep_id(u.params.p, u.x, u.y)
 
 
-def class_members(rep: ClassRep, params: GroupParams) -> GroupSet:
-    """All elements of a unit-equivalence class, as a set."""
-    if rep.is_zero():
-        return GroupSet.from_indices(params, [0])
-    e = rep.element(params)
+def class_members(rid: int, params: GroupParams) -> GroupSet:
+    """All elements of the unit-equivalence class with rep id rid: the unit
+    multiples of its representative."""
+    e = params.element_from_index(group_tables(params).rep_elem_index[rid])
     return GroupSet.from_elements(params, (e.scale(a) for a in params.units()))
 
 
@@ -342,10 +308,10 @@ def difference_set(A: GroupSet) -> GroupSet:
 
 
 def _rep_id(p: int, x: int, y: int) -> int:
-    """Index in GroupTables.reps of the class of the nonzero element (x, y).
+    """Rep id of the class of the nonzero element (x, y).
 
-    unit_axis is id 0; mixed(c, i) is id 1 + i*p + c, where y = m * p^i
-    and c = x * m^-1 mod p.
+    (1, 0) is id 0; (c, p^i) is id 1 + i*p + c, where y = m * p^i and
+    c = x * m^-1 mod p.
     """
     if y == 0:
         return 0
@@ -365,7 +331,7 @@ class GroupTables:
 
     __slots__ = (
         "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "reps", "rep_count", "rep_elem_index", "_units", "_class_masks",
+        "rep_count", "rep_elem_index", "_units", "_class_masks",
         "_key_tables", "_orbit_tables", "_rot_keep", "_rot_move",
     )
 
@@ -382,13 +348,9 @@ class GroupTables:
         self.full_mask = (1 << order) - 1
         self.phi_degree = self.pn1 * (p - 1)
 
-        reps = [ClassRep.unit_axis()]
-        for i in range(n):
-            for c in range(p):
-                reps.append(ClassRep.mixed(c, i))
-        self.reps = reps
-        self.rep_count = len(reps)
-        self.rep_elem_index = [r.element(params).index for r in reps]
+        # the index of (1, 0), then of each (c, p^i) at rep id 1 + i*p + c
+        self.rep_elem_index = [pn] + [c * pn + p**i for i in range(n) for c in range(p)]
+        self.rep_count = len(self.rep_elem_index)
 
         self._units = None
         self._class_masks = None
@@ -459,8 +421,8 @@ class GroupTables:
     def _build_key_tables(self) -> tuple:
         """Byte tables of packed slice counts, and one field mask per rep.
 
-        Element e adds 1 to field rid * p^n + c * p + j for every rep u =
-        reps[rid], where <e, u> = c + j * p^(n-1) with c < p^(n-1): the
+        Element e adds 1 to field rid * p^n + c * p + j for every rep id rid,
+        where <e, u> = c + j * p^(n-1) with c < p^(n-1) for its rep u: the
         count of the set on fiber j of residue class c.  Table b maps byte
         b of a mask to the packed counts of its elements, so a set's counts
         are one table lookup per byte.  Mask rid selects every field of the
@@ -554,7 +516,7 @@ class GroupTables:
     def profile_key(self, mask: int) -> int:
         """Bitmask over rep ids of the classes in the zero set of `mask`.
 
-        Bit rid is set iff the character at reps[rid] sums to zero on the
+        Bit rid is set iff the character at the rep with id rid sums to zero on the
         set, decided by the slice-count equality criterion: in every
         residue class c mod p^(n-1) the set has equally many elements on
         each of the p fibers {e : <e, u> = c + j p^(n-1)}.  The counts are

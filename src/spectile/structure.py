@@ -55,7 +55,7 @@ def divisibility_exponent(profile: ZeroProfile) -> int:
     i1, and 0 when no level carries a zero at all.  The class of (1, 0)
     never contributes.
     """
-    starts = profile.mixed_levels()
+    starts = [i for i in range(profile.params.n) if profile.level(i)]
     if not starts:
         return 0
     levels_I = profile.I

@@ -1,15 +1,24 @@
 import json
 import multiprocessing
+import random
 import re
 from time import perf_counter
 
 import pytest
 
-from spectile import GroupParams, GroupSet, ParseError, parse_set, serialize_set
+from spectile import (
+    GroupParams,
+    GroupSet,
+    ParseError,
+    char_value_exact,
+    difference_set,
+    parse_set,
+    serialize_set,
+)
 from spectile.cli import main
 from spectile.group import DEFAULT_ORDER_LIMIT
 
-from conftest import make_set
+from conftest import SMALL_PARAMS, make_set
 
 P22 = GroupParams(2, 2)
 
@@ -82,6 +91,25 @@ class TestAnalyzeCommand:
         assert payload["zero_profile"]["I"] == [1]
         assert payload["divides"] is True
 
+    @pytest.mark.parametrize("q", [GroupParams(2, 2), GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}")
+    def test_zero_reps_are_the_vanishing_classes(self, q, tmp_path, capsys):
+        # on every nonempty subset, the labels printed are those of the
+        # classes, spelled here from their representatives, whose exact
+        # character sum vanishes, in report order
+        classes = [("(1,0)", q.element(1, 0))] + [
+            (f"({c},p^{i})", q.element(c, q.p**i)) for i in range(q.n) for c in range(q.p)
+        ]
+        path = tmp_path / "a.txt"
+        for mask in range(1, 1 << q.order):
+            A = GroupSet(q, mask)
+            expected = [label for label, u in classes if char_value_exact(A, u).is_zero()]
+            path.write_text(serialize_set(A), encoding="utf-8")
+            main(["analyze", str(path)])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[2] == "zero-reps: " + (" ".join(expected) or "(none)"), mask
+            main(["analyze", str(path), "--json"])
+            assert json.loads(capsys.readouterr().out)["zero_profile"]["reps"] == expected, mask
+
     def test_empty_body_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", "2 2\n")
         assert main(["analyze", path]) == 2
@@ -121,6 +149,55 @@ class TestCheckPairCommand:
         a = write(tmp_path, "a.txt", "2 2\n0 0\n")
         b = write(tmp_path, "b.txt", "2 1\n0 0\n")
         assert main(["check-pair", a, b, "--mode", "spectral"]) == 2
+
+    @pytest.mark.parametrize("q", SMALL_PARAMS, ids=lambda q: f"p{q.p}n{q.n}")
+    def test_spectral_failure_prints_witness_class(self, q, tmp_path, capsys):
+        rng = random.Random(q.order)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        failures = 0
+        for _ in range(40):
+            k = rng.randint(2, q.order)
+            A = GroupSet.from_indices(q, rng.sample(range(q.order), k))
+            B = GroupSet.from_indices(q, rng.sample(range(q.order), k))
+            a.write_text(serialize_set(A), encoding="utf-8")
+            b.write_text(serialize_set(B), encoding="utf-8")
+            argv = ["check-pair", str(a), str(b), "--mode", "spectral"]
+            rc = main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            if rc == 0:
+                assert lines == ["true"]
+                continue
+            failures += 1
+            assert rc == 1 and lines[0] == "false" and len(lines) == 3
+            x, y = re.fullmatch(r"violation: \((\d+), (\d+)\)", lines[1]).groups()
+            witness = q.element(int(x), int(y))
+            assert witness.index in difference_set(B).indices()
+            assert not char_value_exact(A, witness).is_zero()
+            # the printed class is the witness's: a unit scales its
+            # representative, (1,0) or (c,p^i), onto the witness
+            c, i = re.fullmatch(r"class: \((\d+),(?:0|p\^(\d+))\)", lines[2]).groups()
+            rep = q.element(int(c), 0 if i is None else q.p ** int(i))
+            assert any(rep.scale(s) == witness for s in q.units()), lines
+            assert main(argv + ["--json"]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["class"] == lines[2].removeprefix("class: ")
+            assert payload["violation"] == str(witness)
+        assert failures
+
+    def test_class_is_null_on_pass_and_size_mismatch(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "2 2\n0 0\n0 1\n")
+        b = write(tmp_path, "b.txt", "2 2\n0 0\n0 2\n")
+        c = write(tmp_path, "c.txt", "2 2\n0 0\n")
+        assert main(["check-pair", a, b, "--mode", "spectral", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "class": None, "mode": "spectral", "ok": True, "violation": None,
+        }
+        assert main(["check-pair", a, c, "--mode", "spectral", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] is None
+        assert payload["violation"] == "|A| = 2 but |B| = 1"
+        assert main(["check-pair", a, c, "--mode", "spectral"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["false", "violation: |A| = 2 but |B| = 1"]
 
 
 class TestConstructionCommands:

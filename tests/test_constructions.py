@@ -18,7 +18,7 @@ from spectile import (
 from spectile import constructions
 from spectile.charsum import ZeroProfile
 from spectile.constructions import _lowest_index, _tile_spectrum_case
-from spectile.group import ClassRep, class_members
+from spectile.group import class_members
 
 from conftest import make_set
 
@@ -39,9 +39,8 @@ class TestSpectrumFromTile:
     def test_lowest_zero_index_is_class_minimum(self, p, n):
         # T2S-p takes its zero from this arithmetic, not from a class bitmap
         q = GroupParams(p, n)
-        reps = [ClassRep.unit_axis()] + [ClassRep.mixed(c, i) for i in range(n) for c in range(p)]
-        for rep in reps:
-            assert _lowest_index(q, rep) == class_members(rep, q).indices()[0]
+        for rid in range(1 + p * n):
+            assert _lowest_index(q, rid) == class_members(rid, q).indices()[0]
 
     def test_ifull_example(self):
         A = make_set(P22, [(0, 0), (0, 1), (0, 2), (0, 3)])
@@ -112,47 +111,36 @@ class TestTileSpectrumCaseSplit:
     # The contradiction branches cannot fire through the public operation,
     # which verifies the tiling pair first; exercise them directly.
 
-    def _profile(self, params, reps):
-        return ZeroProfile.from_reps(params, reps)
+    def _profile(self, params, mixed, unit_axis=False):
+        # the zeros (c, p^i) given as (c, i) pairs, at rep id 1 + i*p + c
+        bits = sum(1 << 1 + i * params.p + c for c, i in mixed)
+        return ZeroProfile(params, bits | int(unit_axis))
 
     def test_case1_contradiction_detected(self):
         # Z_T carries (1, p^2) at the A-level 2 with every lower J level
         # fully mixed: the Case1 pattern, impossible for a genuine pair
         q = P23
-        prof_A = self._profile(q, [ClassRep.mixed(0, 2)])  # I = {2}
-        prof_T = self._profile(
-            q,
-            [
-                ClassRep.mixed(0, 0), ClassRep.mixed(1, 0),
-                ClassRep.mixed(0, 1), ClassRep.mixed(1, 1),
-                ClassRep.mixed(1, 2),
-            ],
-        )
-        case, payload = _tile_spectrum_case(q, prof_A, prof_T, [2], [0, 1])
+        prof_A = self._profile(q, [(0, 2)])
+        prof_T = self._profile(q, [(0, 0), (1, 0), (0, 1), (1, 1), (1, 2)])
+        assert (prof_A.I, prof_T.I) == ({2}, {0, 1})
+        case, payload = _tile_spectrum_case(q, prof_A, prof_T)
         assert case == "Case1"
         assert payload == {"d": 1, "a_k": 2}
 
     def test_case3_axis_contradiction_detected(self):
         q = P23
-        prof_A = self._profile(
-            q, [ClassRep.mixed(0, 2), ClassRep.mixed(1, 2)]
-        )
-        prof_T = self._profile(
-            q,
-            [
-                ClassRep.unit_axis(),
-                ClassRep.mixed(0, 0), ClassRep.mixed(1, 0),
-                ClassRep.mixed(0, 1), ClassRep.mixed(1, 1),
-            ],
-        )
-        case, _ = _tile_spectrum_case(q, prof_A, prof_T, [2], [0, 1])
+        prof_A = self._profile(q, [(0, 2), (1, 2)])
+        prof_T = self._profile(q, [(0, 0), (1, 0), (0, 1), (1, 1)], unit_axis=True)
+        assert (prof_A.I, prof_T.I) == ({2}, {0, 1})
+        case, _ = _tile_spectrum_case(q, prof_A, prof_T)
         assert case == "Case3-axis"
 
     def test_no_case_on_garbage_profiles(self):
         q = P23
-        prof_A = self._profile(q, [ClassRep.mixed(0, 2)])
-        prof_T = self._profile(q, [ClassRep.mixed(0, 0)])
-        case, _ = _tile_spectrum_case(q, prof_A, prof_T, [2], [0], )
+        prof_A = self._profile(q, [(0, 2)])
+        prof_T = self._profile(q, [(0, 0)])
+        assert (prof_A.I, prof_T.I) == ({2}, {0})
+        case, _ = _tile_spectrum_case(q, prof_A, prof_T)
         assert case == "NoCase"
 
     def test_contradiction_branches_abort_the_operation(self, monkeypatch):
@@ -303,7 +291,7 @@ class TestConstructionRoundTrips:
             assert verify_tiling_pair(A, T2)
             za = zero_set(A)
             zt = zero_set(T2)
-            assert len(za.reps | zt.reps) == 1 + q.p * q.n
+            assert za.key() | zt.key() == (1 << 1 + q.p * q.n) - 1
 
 
 def _record_branches(monkeypatch) -> list[tuple[str, str]]:

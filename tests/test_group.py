@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from spectile import (
     CapacityError,
-    ClassRep,
     Element,
     GroupParams,
     GroupSet,
@@ -15,6 +15,7 @@ from spectile import (
     canonical_rep,
     class_members,
     difference_set,
+    rep_label,
     scale_translate,
     valuation,
 )
@@ -116,20 +117,25 @@ class TestValuation:
 
 class TestCanonicalRep:
     def test_examples_p2_n2(self):
+        # rep id 0 is (1,0) and 1 + i*p + c is (c,p^i)
         q = GroupParams(2, 2)
-        assert canonical_rep(q.element(1, 3)) == ClassRep.mixed(1, 0)
-        assert canonical_rep(q.element(1, 2)) == ClassRep.mixed(1, 1)
-        assert canonical_rep(q.element(1, 0)) == ClassRep.unit_axis()
-        assert canonical_rep(q.zero()) == ClassRep.zero()
+        assert canonical_rep(q.element(1, 3)) == 2  # (1,p^0)
+        assert canonical_rep(q.element(1, 2)) == 4  # (1,p^1)
+        assert canonical_rep(q.element(0, 2)) == 3  # (0,p^1)
+        assert canonical_rep(q.element(1, 0)) == 0
+
+    def test_zero_element_refused(self, small_params):
+        with pytest.raises(ParameterError, match="zero element has no rep id"):
+            canonical_rep(small_params.zero())
 
     def test_matches_unit_orbit_exhaustion(self, small_params):
         # independent oracle: u ~ rep iff some unit scales rep onto u
         q = small_params
+        rep_elem_index = group_tables(q).rep_elem_index
         for u in q.elements():
             if u.is_zero():
                 continue
-            rep = canonical_rep(u)
-            e = rep.element(q)
+            e = q.element_from_index(rep_elem_index[canonical_rep(u)])
             assert any(e.scale(s) == u for s in q.units())
 
     def test_constant_on_orbits(self, small_params):
@@ -137,23 +143,46 @@ class TestCanonicalRep:
         for u in q.elements():
             if u.is_zero():
                 continue
-            rep = canonical_rep(u)
+            rid = canonical_rep(u)
             for s in q.units():
-                assert canonical_rep(u.scale(s)) == rep
+                assert canonical_rep(u.scale(s)) == rid
 
     def test_class_count(self, small_params):
         q = small_params
-        reps = {canonical_rep(u) for u in q.elements() if not u.is_zero()}
-        assert len(reps) == 1 + q.p * q.n
+        rids = {canonical_rep(u) for u in q.elements() if not u.is_zero()}
+        assert rids == set(range(1 + q.p * q.n))
 
     def test_orbit_regenerates_class(self, small_params):
         q = small_params
-        by_rep = {}
+        by_rid = {}
         for u in q.elements():
             if not u.is_zero():
-                by_rep.setdefault(canonical_rep(u), set()).add(u.index)
-        for rep, members in by_rep.items():
-            assert set(class_members(rep, q).indices()) == members
+                by_rid.setdefault(canonical_rep(u), set()).add(u.index)
+        for rid, members in by_rid.items():
+            assert set(class_members(rid, q).indices()) == members
+
+
+class TestRepIdEncoding:
+    # rep id 0 is (1,0) and 1 + i*p + c is (c,p^i): zero profiles are
+    # bitmasks over these ids, and analyze prints their labels
+
+    def test_canonical_rep_is_rid_on_class_members(self, small_params):
+        q = small_params
+        for rid in range(1 + q.p * q.n):
+            members = class_members(rid, q).elements()
+            assert members
+            assert [canonical_rep(u) for u in members] == [rid] * len(members)
+
+    def test_label_spells_representative(self, small_params):
+        q = small_params
+        labels = [rep_label(q.p, rid) for rid in range(1 + q.p * q.n)]
+        assert labels == ["(1,0)"] + [f"({c},p^{i})" for i in range(q.n) for c in range(q.p)]
+        rep_elem_index = group_tables(q).rep_elem_index
+        assert len(rep_elem_index) == len(labels)
+        for label, idx in zip(labels, rep_elem_index):
+            x, y, i = re.fullmatch(r"\((\d+),(0|p\^(\d+))\)", label).groups()
+            expected_y = 0 if i is None else q.p ** int(i)
+            assert divmod(idx, q.pn) == (int(x), expected_y), label
 
 
 class TestScaleTranslate:

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from spectile import (
-    ClassRep,
     GroupParams,
     GroupSet,
     char_value_exact,
@@ -26,6 +25,7 @@ from spectile import (
 )
 from spectile.constructions import _case3_witness
 from spectile.errors import InvalidInputError
+from spectile.group import group_tables
 
 from conftest import SMALL_PARAMS
 
@@ -127,14 +127,12 @@ def test_case3_witness_is_first_pair_of_valuation(q):
 def test_zero_set_matches_exact_evaluation(small_params):
     q = small_params
     rng = random.Random(SEED)
-    reps = [ClassRep.unit_axis()] + [
-        ClassRep.mixed(c, i) for i in range(q.n) for c in range(q.p)
-    ]
+    reps = [q.element_from_index(idx) for idx in group_tables(q).rep_elem_index]
     for _ in range(TRIALS):
         A = GroupSet(q, rng.getrandbits(q.order))
-        profile = zero_set(A)
-        for rep in reps:
-            assert (rep in profile.reps) == char_value_exact(A, rep.element(q)).is_zero()
+        rids = zero_set(A).rep_ids()
+        for rid, rep in enumerate(reps):
+            assert (rid in rids) == char_value_exact(A, rep).is_zero()
 
 
 def test_indices_round_trip(small_params):
