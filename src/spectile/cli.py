@@ -108,7 +108,12 @@ def _cmd_check_pair(args) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _emit_partner(args, partner: GroupSet, trace: constructions.CaseTrace) -> None:
+def _cmd_construct(args) -> int:
+    # spectrum and complement differ only in args.construction, looked up by
+    # name on each call, so a wrapper put on the module attribute sees it
+    A = _load_set(args.set, args.p, args.n)
+    supplied = _load_set(args.partner, args.p, args.n) if args.partner else None
+    partner, trace = getattr(constructions, args.construction)(A, supplied)
     if args.json:
         print(
             json.dumps(
@@ -120,21 +125,6 @@ def _emit_partner(args, partner: GroupSet, trace: constructions.CaseTrace) -> No
         # set text on stdout, trace on stderr, so the output pipes cleanly
         sys.stdout.write(setio.serialize_set(partner))
         _print_trace(trace, sys.stderr)
-
-
-def _cmd_spectrum(args) -> int:
-    A = _load_set(args.set, args.p, args.n)
-    T = _load_set(args.partner, args.p, args.n) if args.partner else None
-    B, trace = constructions.spectrum_from_tile(A, T)
-    _emit_partner(args, B, trace)
-    return EXIT_OK
-
-
-def _cmd_complement(args) -> int:
-    A = _load_set(args.set, args.p, args.n)
-    B = _load_set(args.partner, args.p, args.n) if args.partner else None
-    T, trace = constructions.complement_from_spectrum(A, B)
-    _emit_partner(args, T, trace)
     return EXIT_OK
 
 
@@ -242,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("set", help="tile file")
     sp.add_argument("--partner", help="optional tiling complement file", default=None)
     add_common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
+    sp.set_defaults(func=_cmd_construct, construction="spectrum_from_tile")
 
     sp = sub.add_parser("complement", help="construct a tiling complement for a spectral set")
     sp.add_argument("set", help="spectral set file")
     sp.add_argument("--partner", help="optional spectrum file", default=None)
     add_common(sp)
-    sp.set_defaults(func=_cmd_complement)
+    sp.set_defaults(func=_cmd_construct, construction="complement_from_spectrum")
 
     sp = sub.add_parser("check-pair", help="verify a spectral or tiling pair")
     sp.add_argument("set_a")

@@ -32,15 +32,12 @@ from .errors import CapacityError, ParameterError
 DEFAULT_ORDER_LIMIT = 2**24
 
 # Largest order an exhaustive sweep or canonicalize accepts, and so the
-# largest for which the byte tables of profile_key and the orbit scan are
-# built: at most 4 tables of 256 entries per table set.  Single-set
-# operations count residues instead.
+# largest for which any per-group table is prebuilt: the rotation masks and
+# the byte tables of profile_key and the orbit scan (at most 4 tables of 256
+# entries per table set).  Single-set operations count residues instead.
 SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
-# Below this order the translation rotation masks are prebuilt as lists
-# (the enumeration hot path); above it each translation builds its own.
-_EAGER_TABLE_LIMIT = 4096
 
 
 def is_prime(p: int) -> bool:
@@ -254,7 +251,13 @@ def valuation(t: int, p: int, m: int) -> int | None:
 
 
 def rep_label(p: int, rid: int) -> str:
-    """The representative of class rid as analyze prints it: (1,0) or (c,p^i)."""
+    """The representative of class rid as analyze prints it: (1,0) or (c,p^i).
+
+    A negative rid is refused with ParameterError.  Only p is known here, so
+    a rid above the group's last one is not caught: it spells a level i >= n.
+    """
+    if rid < 0:
+        raise ParameterError(f"rep id {rid} is negative")
     if rid == 0:
         return "(1,0)"
     i, c = divmod(rid - 1, p)
@@ -274,9 +277,12 @@ def canonical_rep(u: Element) -> int:
 
 
 def class_members(rid: int, params: GroupParams) -> GroupSet:
-    """All elements of the unit-equivalence class with rep id rid: the unit
-    multiples of its representative."""
-    e = params.element_from_index(group_tables(params).rep_elem_index[rid])
+    """The unit multiples of the representative of class rid; a rid outside
+    range(rep_count) is refused with ParameterError."""
+    reps = group_tables(params).rep_elem_index
+    if not 0 <= rid < len(reps):
+        raise ParameterError(f"rep id {rid} out of range [0, {len(reps)})")
+    e = params.element_from_index(reps[rid])
     return GroupSet.from_elements(params, (e.scale(a) for a in params.units()))
 
 
@@ -299,7 +305,7 @@ def difference_set(A: GroupSet) -> GroupSet:
     t = group_tables(A.params)
     out = 0
     for idx in A.indices():
-        out |= t.translate_mask(A.mask, t.neg_index(idx))
+        out |= t.translate_mask(A.mask, t.sub_index(0, idx))
     return GroupSet(A.params, out)
 
 
@@ -323,16 +329,16 @@ class GroupTables:
     """Lookup structures for one group, shared by all hot paths.
 
     Everything sized in the group order is built lazily so that large (but
-    in-cap) groups only pay for the tables their operations actually touch;
-    below _EAGER_TABLE_LIMIT the rotation masks are prebuilt as lists, which
-    the enumeration hot loop relies on.  Above it nothing per offset is
-    kept, so memory stays a few bitmaps whatever the translations used.
+    in-cap) groups only pay for the tables their operations actually touch.
+    The rotation keep masks are prebuilt, one per y offset, only up to
+    SWEEP_ORDER_LIMIT; above it each translation builds its own, so memory
+    stays a few bitmaps whatever the translations used.
     """
 
     __slots__ = (
-        "params", "p", "n", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "rep_count", "rep_elem_index", "_units", "_class_masks",
-        "_key_tables", "_orbit_tables", "_rot_keep", "_rot_move",
+        "params", "p", "pn", "pn1", "order", "full_mask", "phi_degree",
+        "rep_count", "rep_elem_index", "_class_masks",
+        "_key_tables", "_orbit_tables", "_rot_keep",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -341,7 +347,6 @@ class GroupTables:
         order = p * pn
         self.params = params
         self.p = p
-        self.n = n
         self.pn = pn
         self.pn1 = p ** (n - 1)
         self.order = order
@@ -352,21 +357,12 @@ class GroupTables:
         self.rep_elem_index = [pn] + [c * pn + p**i for i in range(n) for c in range(p)]
         self.rep_count = len(self.rep_elem_index)
 
-        self._units = None
         self._class_masks = None
         self._key_tables = None
         self._orbit_tables = None
-        if order <= _EAGER_TABLE_LIMIT:
-            keep, move = [self.full_mask], [0]  # rotating by 0 keeps every bit
-            for gy in range(1, pn):
-                k = self._replicated_low_bits(pn - gy)
-                keep.append(k)
-                move.append(self.full_mask ^ k)
-            self._rot_keep = keep
-            self._rot_move = move
-        else:
-            self._rot_keep = None
-            self._rot_move = None
+        self._rot_keep = None
+        if order <= SWEEP_ORDER_LIMIT:  # at gy = 0 the keep mask is every bit
+            self._rot_keep = [self._replicated_low_bits(pn - gy) for gy in range(pn)]
 
     def _replicated_low_bits(self, width: int) -> int:
         # the low `width` bits of every p^n block, doubling the block count
@@ -377,13 +373,6 @@ class GroupTables:
             k |= k << (blocks * self.pn)
             blocks *= 2
         return k & self.full_mask
-
-    @property
-    def units(self) -> list[int]:
-        """The units of Z_{p^n}, ascending, as GroupParams.units lists them."""
-        if self._units is None:
-            self._units = self.params.units()
-        return self._units
 
     @property
     def class_masks(self) -> list[int]:
@@ -451,7 +440,7 @@ class GroupTables:
           the sum of the images of a mask's elements is the bitmap of a*mask.
         - Per y offset gy in 0..p^n - 1, the (keep mask, left shift, move
           mask, right shift) that translates a doubled bitmap m | m << order
-          by (0, gy): the masks cover both copies.
+          by (0, gy): complementary masks that cover both copies.
         - Per x offset gx, 0 last, the right shift order - gx*p^n that,
           cut to the order, takes the doubled bitmap to its translate by
           (gx, 0).
@@ -459,22 +448,19 @@ class GroupTables:
         self._require_table_order("orbit scan")
         p, pn, order = self.p, self.pn, self.order
         scalings = [None]
-        for a in self.units[1:]:  # units[0] is 1
+        for a in self.params.units()[1:]:  # units()[0] is 1
             images = [1 << (a * x % p * pn + a * y % pn) for x in range(p) for y in range(pn)]
             scalings.append(self._byte_tables(images))
+        both = (1 << 2 * order) - 1  # every bit of a doubled bitmap
         y_rotations = [
-            (keep | keep << order, gy, move | move << order, pn - gy)
-            for gy, (keep, move) in enumerate(zip(self._rot_keep, self._rot_move))
+            (keep | keep << order, gy, both ^ (keep | keep << order), pn - gy)
+            for gy, keep in enumerate(self._rot_keep)
         ]
         x_shifts = [order - gx * pn for gx in (*range(1, p), 0)]
         self._orbit_tables = (
             (1 << pn) - 1, self._rot_keep[pn - 1], scalings, y_rotations, x_shifts,
         )
         return self._orbit_tables
-
-    def neg_index(self, idx: int) -> int:
-        x, y = divmod(idx, self.pn)
-        return ((-x) % self.p) * self.pn + (-y) % self.pn
 
     def sub_index(self, a: int, b: int) -> int:
         ax, ay = divmod(a, self.pn)
@@ -486,11 +472,9 @@ class GroupTables:
         gx, gy = divmod(g_idx, self.pn)
         if gy:
             rot = self._rot_keep
-            if rot is not None:
-                m = ((m & rot[gy]) << gy) | ((m & self._rot_move[gy]) >> (self.pn - gy))
-            else:
-                keep = self._replicated_low_bits(self.pn - gy)
-                m = ((m & keep) << gy) | ((m & (self.full_mask ^ keep)) >> (self.pn - gy))
+            keep = rot[gy] if rot is not None else self._replicated_low_bits(self.pn - gy)
+            # full_mask ^ keep: with ~keep a translation at order 2^16 ran 2x slower
+            m = ((m & keep) << gy) | ((m & (self.full_mask ^ keep)) >> (self.pn - gy))
         if gx:
             k = gx * self.pn
             m = ((m << k) | (m >> (self.order - k))) & self.full_mask

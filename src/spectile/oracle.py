@@ -197,14 +197,14 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> int | None:
     and v are adjacent iff u - v lies in zmask.  Restricting to cliques
     containing 0 loses nothing because the edge relation is translation
     invariant.  The search keeps its own stack, so its depth is not
-    bounded by the interpreter's recursion limit.
+    bounded by the interpreter's recursion limit, and nothing per vertex:
+    it holds at most k bitmaps.
     """
     if k <= 0:
         return None
     if k == 1:
         return 1
     translate = t.translate_mask
-    nbr_cache: dict[int, int] = {}
     chosen = [1]  # the bits of the chosen vertices
     cands = [zmask]  # per depth: untried vertices adjacent to chosen, above its last
     while cands:
@@ -220,11 +220,7 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> int | None:
         chosen.append(b)
         if need == 1:
             return sum(chosen)
-        v = b.bit_length() - 1
-        nbr = nbr_cache.get(v)
-        if nbr is None:
-            nbr = nbr_cache[v] = translate(zmask, v)
-        cands.append(cand & nbr)
+        cands.append(cand & translate(zmask, b.bit_length() - 1))  # b's neighbours
     return None
 
 

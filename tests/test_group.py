@@ -19,7 +19,7 @@ from spectile import (
     scale_translate,
     valuation,
 )
-from spectile.group import DEFAULT_ORDER_LIMIT, _EAGER_TABLE_LIMIT, group_tables
+from spectile.group import DEFAULT_ORDER_LIMIT, SWEEP_ORDER_LIMIT, group_tables
 
 from conftest import SMALL_PARAMS, make_set
 
@@ -184,6 +184,19 @@ class TestRepIdEncoding:
             expected_y = 0 if i is None else q.p ** int(i)
             assert divmod(idx, q.pn) == (int(x), expected_y), label
 
+    @pytest.mark.parametrize("rid", [-1, 5])
+    def test_class_members_refuses_rid_out_of_range(self, rid):
+        # Z_2 x Z_4 has rep ids 0..4; unchecked, -1 would index the list
+        # from the end (the class of rid 4) and 5 raise a bare IndexError
+        with pytest.raises(ParameterError, match=rf"^rep id {rid} out of range \[0, 5\)$"):
+            class_members(rid, GroupParams(2, 2))
+
+    def test_label_refuses_negative_rid(self):
+        # unchecked, -1 would spell (0,p^-1); a rid past the group's last
+        # level cannot be caught, since the label sees only p
+        with pytest.raises(ParameterError, match="^rep id -1 is negative$"):
+            rep_label(2, -1)
+
 
 class TestScaleTranslate:
     def test_identity(self):
@@ -289,14 +302,16 @@ class TestGroupTables:
         ):
             group_tables(GroupParams(2, 12)).profile_key(1)
 
-    @pytest.mark.parametrize("p, n", [(3, 7), (67, 1)])
-    def test_translate_mask_above_eager_limit(self, p, n):
-        # the per-call rotation masks, with p blocks replicated by doubling
+    @pytest.mark.parametrize("p, n", [(2, 4), (2, 5), (2, 11), (3, 7), (67, 1)])
+    def test_translate_mask_across_table_cap(self, p, n):
+        # up to the cap (order 32) the rotation masks are prebuilt lists;
+        # above it (orders 64, 4096, 6561, 4489) each call builds its own,
+        # with p blocks replicated by doubling
         q = GroupParams(p, n)
-        assert q.order > _EAGER_TABLE_LIMIT
         t = group_tables(q)
+        assert (t._rot_keep is not None) == (q.order <= SWEEP_ORDER_LIMIT)
         rng = random.Random(7)
-        A = GroupSet.from_indices(q, rng.sample(range(q.order), 40))
+        A = GroupSet.from_indices(q, rng.sample(range(q.order), min(40, q.order // 2)))
         for gi in rng.sample(range(q.order), 25):
             g = q.element_from_index(gi)
             expected = GroupSet.from_elements(q, (e + g for e in A.elements()))

@@ -1,6 +1,7 @@
 import multiprocessing
 import random
 import signal
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -218,6 +219,21 @@ class TestBruteForceSearches:
         path = tmp_path / "single.txt"
         path.write_text("2 10\n0 0\n", encoding="utf-8")
         assert _within(10.0, main, ["search", str(path), "--mode", "tiling"]) == 0
+
+    def test_spectrum_search_memory_is_its_stack(self):
+        # {0,1} x {0,1,2} has no spectrum of size 6, so the clique search
+        # visits every vertex of its zero set at order 8192; its stack holds
+        # at most 6 bitmaps of 1 KB, where a neighbour bitmap kept per
+        # vertex would reach a 4.9 MB peak
+        q = GroupParams(2, 12)
+        A = make_set(q, [(x, y) for x in (0, 1) for y in (0, 1, 2)])
+        tracemalloc.start()
+        try:
+            assert find_spectrum_bruteforce(A) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)
