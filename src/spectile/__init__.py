@@ -54,6 +54,7 @@ from .oracle import (
     find_complement_bruteforce,
     find_spectrum_bruteforce,
     spectral_pair_violation,
+    spectral_violation_pair,
     tiling_pair_violation,
     verify_spectral_pair,
     verify_tiling_pair,
@@ -111,6 +112,7 @@ __all__ = [
     "scale_translate",
     "serialize_set",
     "spectral_pair_violation",
+    "spectral_violation_pair",
     "spectrum_from_tile",
     "tiling_pair_violation",
     "valuation",

@@ -18,7 +18,7 @@ touches floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParameterError
@@ -158,10 +158,17 @@ class ZeroProfile:
     (c, p^i) of level i, c ascending.  Every view is derived from bits; I
     (the levels i with (0, p^i) present) is cached on first use, since the
     sweep hands one profile to many constructions.
+
+    For the same reason the constructions keep in _built what they derive
+    from a profile, |A| and a supplied partner alone: the built partner,
+    its trace and the spectral-pair checks, once per (construction, |A|,
+    partner).  It is filled only when a caller passes the profile in, and
+    it takes no part in equality, hashing or repr.
     """
 
     params: GroupParams
     bits: int
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rep_ids(self) -> list[int]:
         """The rep ids in the zero set, ascending: (1,0) first, then (c, p^i)

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import constructions, oracle, setio
 from .charsum import compare_zero_tests, zero_set
 from .errors import CapacityError, ParameterError, ParseError, SpectileError
-from .group import Element, GroupParams, GroupSet, canonical_rep, rep_label
+from .group import GroupParams, GroupSet, canonical_rep, rep_label
 from .structure import classify_size, divisibility_exponent
 
 EXIT_OK = 0
@@ -85,19 +85,25 @@ def _cmd_check_pair(args) -> int:
     B = _load_set(args.set_b, args.p, args.n)
     if A.params != B.params:
         raise ParameterError("the two set files use different group parameters")
-    # the class of a spectral witness v - u: the class that holds a difference
-    # of B but not a zero of A; a tiling witness or a size message has none
-    label = None
+    # a spectral witness v - u comes with its pair (u, v) of B and its class,
+    # the one that holds a difference of B but not a zero of A; a tiling
+    # witness or a size message has neither
+    label = pair = None
     if args.mode == "spectral":
-        violation = oracle.spectral_pair_violation(A, B)
-        if isinstance(violation, Element):
+        violation = oracle.spectral_violation_pair(A, B)
+        if isinstance(violation, tuple):
+            pair = violation
+            violation = pair[1] - pair[0]
             label = rep_label(A.params.p, canonical_rep(violation))
     else:
         violation = oracle.tiling_pair_violation(A, B)
     ok = violation is None
     if args.json:
         detail = None if ok else str(violation)
-        payload = {"mode": args.mode, "ok": ok, "violation": detail, "class": label}
+        payload = {
+            "mode": args.mode, "ok": ok, "violation": detail, "class": label,
+            "pair": None if pair is None else [[u.x, u.y] for u in pair],
+        }
         print(json.dumps(payload, sort_keys=True))
     else:
         print("true" if ok else "false")
@@ -105,6 +111,7 @@ def _cmd_check_pair(args) -> int:
             print(f"violation: {violation}")
         if label is not None:
             print(f"class: {label}")
+            print(f"pair: {pair[0]} {pair[1]}")
     return EXIT_OK if ok else EXIT_FAILURE
 
 

@@ -94,6 +94,34 @@ def _verify_complement(A: GroupSet, T: GroupSet, context: str) -> None:
         )
 
 
+def _stored(
+    build, A: GroupSet, partner: GroupSet | None, profile: ZeroProfile | None
+) -> tuple[GroupSet, CaseTrace]:
+    """build(A, partner, profile), which reads A only through |A| and, when
+    profile or partner is None, to compute or search what is missing.
+
+    With both given the result is kept in profile's store under (build,
+    |A|, partner mask), so a profile shared by many sets of one size builds
+    each partner once, and every call gets a copy of the stored trace.  A
+    build that raises stores nothing.
+    """
+    if profile is None or partner is None:
+        return build(A, partner, profile)
+    key = (build, A.cardinality, partner.mask)
+    built = profile._built.get(key)
+    if built is None:
+        built = profile._built[key] = build(A, partner, profile)
+    X, trace = built
+    witnesses = {k: _copy(v) for k, v in trace.witnesses.items()}
+    return X, CaseTrace(trace.theorem, trace.case, witnesses)
+
+
+def _copy(witness):
+    # a witness is an int or a list of witnesses; copy.deepcopy would do,
+    # at three times the cost on the sweep's small traces
+    return [_copy(w) for w in witness] if isinstance(witness, list) else witness
+
+
 # ---------------------------------------------------------------------------
 # Tile -> spectrum
 
@@ -110,15 +138,28 @@ def spectrum_from_tile(
     already holds zero_set(A) passes it as profile; it is trusted, not
     recomputed.  Otherwise it is computed once here and shared by the case
     split and the verification.
+
+    Past the tiling-pair check of T, which reads A and runs on every call,
+    B and its trace depend only on |A|, zero_set(A) and T, and so does the
+    spectral-pair check of B.  With both a profile and T passed, that part
+    runs once per (|A|, T) and is stored on the profile; later calls with
+    the same profile reuse it.  Each call returns its own trace.
     """
-    q = A.params
-    k = A.cardinality
-    if k == 0:
+    if A.cardinality == 0:
         raise InvalidInputError("the empty set is not a tile")
     if T is not None:
-        _require_same_params(q, T.params)
+        _require_same_params(A.params, T.params)
         if not verify_tiling_pair(A, T):
             raise InvalidInputError("supplied complement fails the tiling-pair check")
+    return _stored(_tile_spectrum, A, T, profile)
+
+
+def _tile_spectrum(
+    A: GroupSet, T: GroupSet | None, profile: ZeroProfile | None
+) -> tuple[GroupSet, CaseTrace]:
+    """spectrum_from_tile past the check of a supplied T."""
+    q = A.params
+    k = A.cardinality
     if k == 1:
         return GroupSet.from_indices(q, [0]), CaseTrace("T2S-trivial", "Trivial")
     if k == q.order:
@@ -276,11 +317,30 @@ def complement_from_spectrum(
     order is within the oracle cap.  A caller that already holds
     zero_set(A) passes it as profile; it is trusted, not recomputed.
     Otherwise it is computed at most once here.
+
+    Only the tiling-pair check of the built T reads A beyond |A|: the
+    spectral-pair check of B, the case split and T itself depend only on
+    |A|, zero_set(A) and B.  With both a profile and B passed, that part
+    runs once per (|A|, B) and is stored on the profile; later calls with
+    the same profile reuse it and check only the tiling pair.  Each call
+    returns its own trace.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")
     if B is not None:
         _require_same_params(A.params, B.params)
+    T, trace = _stored(_spectral_complement, A, B, profile)
+    # G and {0}, the trivial branches' complements, tile every A they serve
+    if trace.theorem not in ("S2T-trivial", "S2T-big"):
+        _verify_complement(A, T, f"{trace.theorem} {trace.case}")
+    return T, trace
+
+
+def _spectral_complement(
+    A: GroupSet, B: GroupSet | None, profile: ZeroProfile | None
+) -> tuple[GroupSet, CaseTrace]:
+    """complement_from_spectrum short of the tiling-pair check of T."""
+    if B is not None:
         if profile is None:
             profile = zero_set(A)
         if _spectral_violation(A, B, profile) is not None:
@@ -291,7 +351,7 @@ def complement_from_spectrum(
         T = GroupSet.full(q)
         return T, CaseTrace("S2T-trivial", "Trivial")
     if k > q.pn:
-        if A.is_full():
+        if k == q.order:
             return GroupSet.from_indices(q, [0]), CaseTrace("S2T-big", "Main")
         raise InvalidInputError(
             f"a spectral set with |A| = {k} > p^n = {q.pn} must be the whole group"
@@ -327,16 +387,13 @@ def complement_from_spectrum(
         profile = zero_set(A)
 
     if s == 1:
-        T, trace = _complement_size_p(q, profile)
-        _verify_complement(A, T, f"S2T-p {trace.case}")
-        return T, trace
+        return _complement_size_p(q, profile)
 
     levels_I = sorted(profile.I)
     if len(levels_I) == s:
         positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
         span = _span_digits(q, positions)
         T = GroupSet.from_elements(q, ((x, y) for x in range(q.p) for y in span))
-        _verify_complement(A, T, "S2T-ps Case1")
         return T, CaseTrace("S2T-ps", "Case1", {"I": levels_I})
     if len(levels_I) != s - 1:
         raise InvalidInputError(
@@ -359,7 +416,6 @@ def complement_from_spectrum(
     if len(levels_J) == s - 1:
         positions = [i for i in range(q.n) if i not in profile_B.I]
         T = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, positions)))
-        _verify_complement(A, T, "S2T-ps Case2")
         return T, CaseTrace("S2T-ps", "Case2", {"I": levels_I, "J": levels_J})
     if len(levels_J) != s:
         raise InvalidInputError(
@@ -379,7 +435,6 @@ def complement_from_spectrum(
         q,
         (((-c * _digit(y, j0, q.p)) % q.p, y) for y in _span_digits(q, positions)),
     )
-    _verify_complement(A, T, "S2T-ps Case3")
     return T, CaseTrace(
         "S2T-ps",
         "Case3",

@@ -82,13 +82,26 @@ def spectral_pair_violation(A: GroupSet, B: GroupSet) -> Element | str | None:
     makes one pass over B per class outside the zero set, O(|B|(1 + p*n))
     for the 1 + p*n classes, and builds no group-sized table.
     """
+    found = spectral_violation_pair(A, B)
+    if isinstance(found, tuple):
+        u, v = found
+        return v - u
+    return found
+
+
+def spectral_violation_pair(A: GroupSet, B: GroupSet) -> tuple[Element, Element] | str | None:
+    """The pair (u, v) of B behind spectral_pair_violation's witness v - u,
+    the same message when the sizes disagree, or None for a spectral pair."""
     return _spectral_violation(A, B, None)
 
 
 def _spectral_violation(
     A: GroupSet, B: GroupSet, profile: ZeroProfile | None
-) -> Element | str | None:
-    """spectral_pair_violation for a caller that already holds zero_set(A)."""
+) -> tuple[Element, Element] | str | None:
+    """spectral_violation_pair for a caller that already holds zero_set(A).
+
+    Of A it reads only |A| and the profile, when one is passed.
+    """
     _require_same_params(A.params, B.params)
     k = B.cardinality
     if A.cardinality != k:
@@ -99,8 +112,7 @@ def _spectral_violation(
     hit = _first_pair(q.p, pairs, [rid for rid in range(1 + q.n * q.p) if not bits >> rid & 1])
     if hit is None:
         return None
-    (ux, uy), (vx, vy) = pairs[hit[0]], pairs[hit[1]]
-    return q.element((vx - ux) % q.p, (vy - uy) % q.pn)
+    return q.element(*pairs[hit[0]]), q.element(*pairs[hit[1]])
 
 
 def _first_pair(p: int, pairs: list, rids) -> tuple[int, int] | None:
@@ -268,20 +280,24 @@ def _find_cover(t: GroupTables, mask: int) -> int | None:
         best.sort(reverse=True)
         return best
 
-    # one frame per pick, on an explicit stack: (cover so far, picks so far,
-    # untried translates)
-    stack = [(mask, 1, branches(mask))]
+    # one frame per pick, on an explicit stack: (the pick, the translates
+    # untried after it).  The cover and the picks are kept once; the picked
+    # translates are disjoint, so a frame undoes its pick by XOR as it pops.
+    cover, picks = mask, 1
+    stack = [(0, branches(mask))]
     while stack:
-        cover, picks, todo = stack[-1]
+        g, todo = stack[-1]
         if not todo:
             stack.pop()
+            cover ^= trans_cache[g]
+            picks ^= 1 << g
             continue
         g = todo.pop()
         cover |= trans_cache[g]
         picks |= 1 << g
         if cover == full:
             return picks
-        stack.append((cover, picks, branches(cover)))
+        stack.append((g, branches(cover)))
     return None
 
 

@@ -168,9 +168,16 @@ class TestCheckPairCommand:
                 assert lines == ["true"]
                 continue
             failures += 1
-            assert rc == 1 and lines[0] == "false" and len(lines) == 3
+            assert rc == 1 and lines[0] == "false" and len(lines) == 4
             x, y = re.fullmatch(r"violation: \((\d+), (\d+)\)", lines[1]).groups()
             witness = q.element(int(x), int(y))
+            # the pair line names two points of B whose difference v - u is
+            # the witness
+            coords = re.fullmatch(r"pair: \((\d+), (\d+)\) \((\d+), (\d+)\)", lines[3])
+            ux, uy, vx, vy = map(int, coords.groups())
+            u, v = q.element(ux, uy), q.element(vx, vy)
+            assert u in B and v in B
+            assert v - u == witness
             assert witness.index in difference_set(B).indices()
             assert not char_value_exact(A, witness).is_zero()
             # the printed class is the witness's: a unit scales its
@@ -182,6 +189,7 @@ class TestCheckPairCommand:
             payload = json.loads(capsys.readouterr().out)
             assert payload["class"] == lines[2].removeprefix("class: ")
             assert payload["violation"] == str(witness)
+            assert payload["pair"] == [[ux, uy], [vx, vy]]
         assert failures
 
     def test_class_is_null_on_pass_and_size_mismatch(self, tmp_path, capsys):
@@ -190,14 +198,18 @@ class TestCheckPairCommand:
         c = write(tmp_path, "c.txt", "2 2\n0 0\n")
         assert main(["check-pair", a, b, "--mode", "spectral", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {
-            "class": None, "mode": "spectral", "ok": True, "violation": None,
+            "class": None, "mode": "spectral", "ok": True, "pair": None, "violation": None,
         }
         assert main(["check-pair", a, c, "--mode", "spectral", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["class"] is None
+        assert payload["class"] is None and payload["pair"] is None
         assert payload["violation"] == "|A| = 2 but |B| = 1"
         assert main(["check-pair", a, c, "--mode", "spectral"]) == 1
         assert capsys.readouterr().out.splitlines() == ["false", "violation: |A| = 2 but |B| = 1"]
+        # tiling mode has no pair either, failing or not
+        assert main(["check-pair", a, b, "--mode", "tiling", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] is None and payload["pair"] is None
 
 
 class TestConstructionCommands:

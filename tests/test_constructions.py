@@ -294,22 +294,24 @@ class TestConstructionRoundTrips:
             assert za.key() | zt.key() == (1 << 1 + q.p * q.n) - 1
 
 
-def _record_branches(monkeypatch) -> list[tuple[str, str]]:
+def _record_branches(monkeypatch) -> tuple[list[tuple[str, str]], list[tuple]]:
     """Wrap both public constructions where the sweep looks them up; the
-    returned list collects the (theorem, case) of every call."""
-    fired = []
+    returned lists collect the (theorem, case) of every call and, in the
+    same order, its (construction name, A, partner, profile)."""
+    fired, calls = [], []
 
     def recording(fn):
-        def wrapper(*args, **kwargs):
-            partner, trace = fn(*args, **kwargs)
+        def wrapper(A, partner=None, *, profile=None):
+            built, trace = fn(A, partner, profile=profile)
             fired.append((trace.theorem, trace.case))
-            return partner, trace
+            calls.append((fn.__name__, A, partner, profile))
+            return built, trace
 
         return wrapper
 
     for name in ("spectrum_from_tile", "complement_from_spectrum"):
         monkeypatch.setattr(constructions, name, recording(getattr(constructions, name)))
-    return fired
+    return fired, calls
 
 
 class TestBranchCoverage:
@@ -332,7 +334,7 @@ class TestBranchCoverage:
     def test_small_sweeps_fire_every_genuine_branch(self, monkeypatch):
         from spectile import enumerate_and_check
 
-        fired = _record_branches(monkeypatch)
+        fired, _ = _record_branches(monkeypatch)
         # Z_2 x Z_4 has the p^2-sized branches, Z_3 x Z_3 the size-p Case3
         for q in (P22, GroupParams(3, 1)):
             report = enumerate_and_check(q, shards=1)
@@ -357,18 +359,24 @@ class TestProfileReuse:
 
     def test_sweep_profiles_only_partners(self, monkeypatch):
         # the sweep hands each subset's profile to both constructions, so
-        # zero_set runs only on the partner a case split consults
+        # zero_set runs only on the partner a case split consults, and only
+        # once per (construction, profile, |A|, partner) the profile stores
         from spectile import enumerate_and_check
 
         calls = self._count_zero_sets(monkeypatch)
-        fired = _record_branches(monkeypatch)
+        fired, args = _record_branches(monkeypatch)
         assert enumerate_and_check(P22, shards=1).mismatches == []
         partner_cases = {
             ("T2S-pt", "Case2"), ("T2S-pt", "Case3"), ("S2T-ps", "Case2"), ("S2T-ps", "Case3")
         }
-        expected = sum(f in partner_cases for f in fired)
-        assert expected > 0
-        assert len(calls) == expected
+        firings = [a for f, a in zip(fired, args) if f in partner_cases]
+        expected = {
+            (name, profile.key(), A.cardinality, partner.mask)
+            for name, A, partner, profile in firings
+        }
+        assert len(firings) > len(expected) > 0
+        assert len(calls) == len(expected)
+        assert {T.mask for T in calls} == {key[3] for key in expected}
 
     def test_spectrum_from_tile_profiles_a_once(self, monkeypatch):
         A = make_set(P22, [(0, 0), (0, 1)])
@@ -390,6 +398,98 @@ class TestProfileReuse:
         calls.clear()
         assert complement_from_spectrum(A, B, profile=profile) == (T, trace)
         assert calls == []
+
+
+class TestStoredPartners:
+    # a passed profile keeps what each construction derives from |A|, the
+    # profile and the partner; everything that reads A still runs per call
+
+    A = GroupSet.from_indices(P23, [0, 1, 2, 9])  # T2S-pt Case2, S2T-ps Case3
+
+    def _pairs(self):
+        return self.A, find_complement_bruteforce(self.A), find_spectrum_bruteforce(self.A)
+
+    def test_equal_but_distinct_traces(self):
+        A, T, B = self._pairs()
+        profile = zero_set(A)
+        for fn, partner in ((spectrum_from_tile, T), (complement_from_spectrum, B)):
+            (b1, t1), (b2, t2) = fn(A, partner, profile=profile), fn(A, partner, profile=profile)
+            assert b1 == b2 and t1 == t2 and t1 == fn(A, partner)[1]
+            assert t1 is not t2 and t1.witnesses is not t2.witnesses
+
+    def test_mutating_a_trace_leaves_the_store(self):
+        A, T, B = self._pairs()
+        profile = zero_set(A)
+        for fn, partner in ((spectrum_from_tile, T), (complement_from_spectrum, B)):
+            _, first = fn(A, partner, profile=profile)
+            clean = fn(A, partner)[1]
+            for value in first.witnesses.values():
+                if isinstance(value, list):
+                    value.append(99)
+            first.witnesses["extra"] = 1
+            assert fn(A, partner, profile=profile)[1] == clean
+
+    def test_nothing_outlives_the_profile(self):
+        import gc
+        import weakref
+
+        A, T, B = self._pairs()
+        profile = zero_set(A)
+        spectrum_from_tile(A, T, profile=profile)
+        complement_from_spectrum(A, B, profile=profile)
+        assert len(profile._built) == 2
+        ref = weakref.ref(profile)
+        del profile
+        gc.collect()
+        assert ref() is None
+
+    def test_stored_only_with_a_profile_and_a_partner(self, monkeypatch):
+        A, T, B = self._pairs()
+        profile = zero_set(A)
+        spectrum_from_tile(A, T)
+        complement_from_spectrum(A, B)
+        spectrum_from_tile(A, profile=profile)  # T searched from A
+        complement_from_spectrum(A, profile=profile)  # B searched from A
+        assert profile._built == {}
+        # zero_set(A) computed inside a call is not where anything is kept
+        created = []
+
+        def recording(S):
+            created.append(zero_set(S))
+            return created[-1]
+
+        monkeypatch.setattr(constructions, "zero_set", recording)
+        spectrum_from_tile(A, T)
+        complement_from_spectrum(A, B)
+        assert created and all(z._built == {} for z in created)
+
+    def test_a_failing_build_raises_on_every_call(self, monkeypatch):
+        A, T, B = self._pairs()
+        profile = zero_set(A)
+        monkeypatch.setattr(constructions, "_case3_witness", lambda *a: 1 / 0)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                complement_from_spectrum(A, B, profile=profile)
+        assert profile._built == {}
+
+    def test_each_set_still_checks_its_own_tiling(self):
+        # the profile of A1, passed untruthfully for A2 of the same size: the
+        # complement stored for A1 is reused and then refused, since A2's own
+        # tiling check still runs
+        q = GroupParams(3, 1)
+        A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
+        A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
+        profile = zero_set(A1)
+        B = find_spectrum_bruteforce(A1)
+        T, _ = complement_from_spectrum(A1, B, profile=profile)
+        assert verify_tiling_pair(A1, T) and not verify_tiling_pair(A2, T)
+        with pytest.raises(InvalidInputError) as exc_info:
+            complement_from_spectrum(A2, B, profile=profile)
+        assert len(profile._built) == 1
+        assert str(exc_info.value) == (
+            "S2T-p Case2: constructed complement failed verification; "
+            "the input is not the spectral set it was claimed to be"
+        )
 
 
 class TestConstructionDigest:

@@ -235,6 +235,21 @@ class TestBruteForceSearches:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_complement_search_keeps_one_cover(self):
+        # a singleton's cover picks all 8192 translates at order 8192; one
+        # running cover bitmap undone by XOR peaks near 6 MB, the translate
+        # cache kept, where a cover bitmap per stack frame reached 15.7 MB
+        q = GroupParams(2, 12)
+        A = GroupSet.from_indices(q, [5])
+        tracemalloc.start()
+        try:
+            T = find_complement_bruteforce(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T == GroupSet.full(q)
+        assert peak < 10_000_000
+
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)
         assert find_spectrum_bruteforce(E) is None
@@ -620,3 +635,34 @@ class TestSweepFaultInjection:
         assert len(theorem) == sum(comb(q.order, k) for k in sizes) - clean.spectral
         assert {mm.detail for mm in theorem} <= {"tile=True but spectral=False"}
         assert len(report.mismatches) == len(construction) + len(theorem)
+
+    def test_built_complement_checked_per_subset(self, monkeypatch):
+        # every size-p construction builds the y-axis T0, which tiles exactly
+        # the sets with one element per x.  Against a fixed T0 the verdict
+        # follows from the zero profile and size, so a memo entry's sets are
+        # refused all together; the partner built for its first set is
+        # stored, and each later set's own tiling check must refuse it again
+        from spectile import constructions
+
+        q = GroupParams(3, 1)
+        T0 = make_set(q, [(0, y) for y in range(q.pn)])
+        monkeypatch.setattr(
+            constructions, "_complement_size_p",
+            lambda params, profile: (T0, constructions.CaseTrace("S2T-p", "Case1")),
+        )
+        report = self._sweep(q)
+        subsets = [GroupSet.from_indices(q, c) for c in combinations(range(q.order), q.p)]
+        spectral = [A for A in subsets if find_spectrum_bruteforce(A) is not None]
+        refused = {A.mask for A in spectral if not verify_tiling_pair(A, T0)}
+        entries: dict[int, list[int]] = {}  # zero profile -> its refused sets
+        for A in spectral:
+            if A.mask in refused:
+                entries.setdefault(zero_set(A).key(), []).append(A.mask)
+        assert len(refused) > len(entries) > 0
+        assert {mm.kind for mm in report.mismatches} == {"construction"}
+        assert sorted(mm.mask for mm in report.mismatches) == sorted(refused)
+        assert {mm.detail for mm in report.mismatches} == {
+            "complement_from_spectrum: InvalidInputError: S2T-p Case1: constructed "
+            "complement failed verification; the input is not the spectral set it "
+            "was claimed to be"
+        }
