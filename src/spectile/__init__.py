@@ -20,9 +20,7 @@ from .charsum import (
 )
 from .constructions import (
     CaseTrace,
-    SizeObstruction,
     complement_from_spectrum,
-    nonspectral_size_witness,
     spectrum_from_tile,
 )
 from .errors import (
@@ -85,7 +83,6 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "SizeClass",
-    "SizeObstruction",
     "SpectileError",
     "ZeroProfile",
     "ZeroTestComparison",
@@ -105,7 +102,6 @@ __all__ = [
     "inversion_check",
     "is_zero_equidist",
     "load_set",
-    "nonspectral_size_witness",
     "parse_set",
     "project_delete_digit",
     "rep_label",

@@ -43,7 +43,8 @@ def _print_trace(trace: constructions.CaseTrace, out) -> None:
     print(f"theorem: {trace.theorem}", file=out)
     print(f"case: {trace.case}", file=out)
     for key in sorted(trace.witnesses):
-        print(f"witness {key}: {trace.witnesses[key]}", file=out)
+        # tuples in the library, lists in the text as in the --json trace
+        print(f"witness {key}: {json.dumps(trace.witnesses[key])}", file=out)
 
 
 def _cmd_analyze(args) -> int:

@@ -11,6 +11,7 @@ choice is free.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .charsum import ZeroProfile, _coordinates, zero_set
@@ -32,38 +33,24 @@ from .oracle import (
 from .structure import classify_size
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseTrace:
-    """Which theorem branch produced a construction, plus its witnesses."""
+    """Which theorem branch produced a construction, plus its witnesses.
+
+    Frozen, and every witness value is an int or a tuple of witness values,
+    so two traces can share their values; each holds its own witnesses dict.
+    """
 
     theorem: str
     case: str
     witnesses: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SizeObstruction:
-    """Factorization |A| = m * p^s with 2 <= m <= p-1: no spectrum exists."""
-
-    m: int
-    s: int
-
-
-def nonspectral_size_witness(A: GroupSet) -> SizeObstruction | None:
-    """The (m, s) obstruction when |A| = m * p^s with 2 <= m <= p-1, else None."""
-    if A.cardinality == 0:
-        return None
-    sc = classify_size(A.cardinality, A.params)
-    if sc.kind == "mixed":
-        return SizeObstruction(sc.m, sc.s)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Shared builders
 
 
-def _span_digits(params: GroupParams, positions: list[int]) -> list[int]:
+def _span_digits(params: GroupParams, positions: Iterable[int]) -> list[int]:
     """All y in Z_{p^n} supported on the given digit positions."""
     p = params.p
     out = [0]
@@ -102,8 +89,9 @@ def _stored(
 
     With both given the result is kept in profile's store under (build,
     |A|, partner mask), so a profile shared by many sets of one size builds
-    each partner once, and every call gets a copy of the stored trace.  A
-    build that raises stores nothing.
+    each partner once.  Every call gets the stored partner and trace values,
+    which are immutable, in a trace of its own with a fresh witnesses dict.
+    A build that raises stores nothing.
     """
     if profile is None or partner is None:
         return build(A, partner, profile)
@@ -112,14 +100,7 @@ def _stored(
     if built is None:
         built = profile._built[key] = build(A, partner, profile)
     X, trace = built
-    witnesses = {k: _copy(v) for k, v in trace.witnesses.items()}
-    return X, CaseTrace(trace.theorem, trace.case, witnesses)
-
-
-def _copy(witness):
-    # a witness is an int or a list of witnesses; copy.deepcopy would do,
-    # at three times the cost on the sweep's small traces
-    return [_copy(w) for w in witness] if isinstance(witness, list) else witness
+    return X, CaseTrace(trace.theorem, trace.case, dict(trace.witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +162,10 @@ def _tile_spectrum(
         zx, zy = divmod(min(_lowest_index(q, rid) for rid in profile.rep_ids()), q.pn)
         B = GroupSet.from_elements(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
         return B, CaseTrace(
-            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": [zx, zy]})
+            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": (zx, zy)})
         )
 
-    levels_I = sorted(profile.I)
+    levels_I = tuple(sorted(profile.I))
     if len(levels_I) == t_exp:
         B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
         return B, CaseTrace(
@@ -206,7 +187,7 @@ def _tile_spectrum(
         if T is None:
             raise InvalidInputError("no tiling complement exists; A is not a tile")
     profile_T = zero_set(T)
-    levels_J = sorted(profile_T.I)
+    levels_J = tuple(sorted(profile_T.I))
 
     case, payload = _tile_spectrum_case(q, profile, profile_T)
     if case == "Case2":
@@ -361,7 +342,7 @@ def _spectral_complement(
     if sc.kind == "mixed":
         raise NonSpectralSizeError(
             f"|A| = {sc.m} * {q.p}^{sc.s} with 2 <= m <= p-1 admits no spectrum",
-            witness=SizeObstruction(sc.m, sc.s),
+            witness=sc,
         )
     if sc.kind == "other":
         if sc.s == 0:
@@ -389,7 +370,7 @@ def _spectral_complement(
     if s == 1:
         return _complement_size_p(q, profile)
 
-    levels_I = sorted(profile.I)
+    levels_I = tuple(sorted(profile.I))
     if len(levels_I) == s:
         positions = [q.n - 1 - i for i in range(q.n) if i not in profile.I]
         span = _span_digits(q, positions)
@@ -411,7 +392,7 @@ def _spectral_complement(
         if B is None:
             raise InvalidInputError("A is not spectral (no spectrum exists)")
     profile_B = zero_set(B)
-    levels_J = sorted(profile_B.I)
+    levels_J = tuple(sorted(profile_B.I))
 
     if len(levels_J) == s - 1:
         positions = [i for i in range(q.n) if i not in profile_B.I]
@@ -471,7 +452,9 @@ def _complement_size_p(params: GroupParams, profile: ZeroProfile) -> tuple[Group
     return T, CaseTrace("S2T-p", "Case3", {"c": c, "level": level})
 
 
-def _case3_witness(params: GroupParams, B: GroupSet, j0: int) -> tuple[int, list[list[int]]]:
+def _case3_witness(
+    params: GroupParams, B: GroupSet, j0: int
+) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
     """First pair (t,x), (t',x') of B with t != t' and x - x' of exact
     valuation i = n-1-j0; returns c = (d - d') * (t-t')^{-1} mod p, from
     the digits d, d' of x, x' at i, and the pair.
@@ -491,4 +474,4 @@ def _case3_witness(params: GroupParams, B: GroupSet, j0: int) -> tuple[int, list
         )
     (t1, x1), (t2, x2) = pairs[hit[0]], pairs[hit[1]]
     c = (_digit(x1, i, p) - _digit(x2, i, p)) * pow(t1 - t2, -1, p) % p
-    return c, [[t1, x1], [t2, x2]]
+    return c, ((t1, x1), (t2, x2))

@@ -40,7 +40,11 @@ class ContradictionError(InvalidInputError):
 
 
 class NonSpectralSizeError(InvalidInputError):
-    """Cardinality alone rules out a spectrum; carries the (m, s) obstruction."""
+    """Cardinality alone rules out a spectrum.
+
+    witness is the SizeClass of kind "mixed" that classify_size gives |A|:
+    |A| = m * p^s with 2 <= m <= p-1, read as witness.m and witness.s.
+    """
 
     def __init__(self, message: str, witness) -> None:
         self.witness = witness

@@ -244,6 +244,20 @@ class TestConstructionCommands:
         t = parse_set(out)
         assert t.cardinality == 4
 
+    def test_witness_lines_print_as_json(self, tmp_path, capsys):
+        # trace witnesses are tuples in the library; the text trace prints
+        # each as the --json trace does
+        tile = write(tmp_path, "tile.txt", "2 2\n0 0\n0 1\n")
+        assert main(["spectrum", tile]) == 0
+        assert "witness zero: [0, 2]\n" in capsys.readouterr().err
+        a = write(tmp_path, "a.txt", "2 3\n0 0\n0 1\n0 2\n1 1\n")  # S2T-ps Case3
+        assert main(["search", a, "--mode", "spectral"]) == 0
+        b = write(tmp_path, "b.txt", capsys.readouterr().out)
+        assert main(["complement", a, "--partner", b]) == 0
+        assert "witness pair: [[0, 0], [1, 2]]\n" in capsys.readouterr().err
+        assert main(["complement", a, "--partner", b, "--json"]) == 0
+        assert '"pair": [[0, 0], [1, 2]]' in capsys.readouterr().out
+
     def test_non_spectral_size_exits_1(self, tmp_path, capsys):
         lines = "3 2\n" + "\n".join(f"0 {y}" for y in range(6)) + "\n"
         a = write(tmp_path, "a.txt", lines)

@@ -6,10 +6,11 @@ from spectile import (
     GroupSet,
     InvalidInputError,
     NonSpectralSizeError,
+    SizeClass,
+    classify_size,
     complement_from_spectrum,
     find_complement_bruteforce,
     find_spectrum_bruteforce,
-    nonspectral_size_witness,
     spectrum_from_tile,
     verify_spectral_pair,
     verify_tiling_pair,
@@ -32,7 +33,7 @@ class TestSpectrumFromTile:
         B, trace = spectrum_from_tile(A)
         assert B == make_set(P22, [(0, 0), (0, 2)])
         assert (trace.theorem, trace.case) == ("T2S-p", "Main")
-        assert trace.witnesses["zero"] == [0, 2]
+        assert trace.witnesses["zero"] == (0, 2)
         assert verify_spectral_pair(A, B)
 
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
@@ -47,7 +48,7 @@ class TestSpectrumFromTile:
         B, trace = spectrum_from_tile(A)
         assert B == A
         assert (trace.theorem, trace.case) == ("T2S-pt", "IFull")
-        assert trace.witnesses["I"] == [0, 1]
+        assert trace.witnesses["I"] == (0, 1)
 
     def test_full_group_short_circuit(self):
         G = GroupSet.full(P22)
@@ -67,7 +68,7 @@ class TestSpectrumFromTile:
         T = find_complement_bruteforce(A)
         B, trace = spectrum_from_tile(A, T)
         assert (trace.theorem, trace.case) == ("T2S-pt", "Case2")
-        assert trace.witnesses == {"d": 1, "b_k": 1, "I": [2], "J": [0, 1]}
+        assert trace.witnesses == {"d": 1, "b_k": 1, "I": (2,), "J": (0, 1)}
         assert verify_spectral_pair(A, B)
 
     def test_case3_instance(self):
@@ -199,7 +200,7 @@ class TestComplementFromSpectrum:
         A = GroupSet.from_indices(P23, [0, 1, 2, 3])
         T, trace = complement_from_spectrum(A)
         assert (trace.theorem, trace.case) == ("S2T-ps", "Case1")
-        assert trace.witnesses["I"] == [1, 2]
+        assert trace.witnesses["I"] == (1, 2)
         assert verify_tiling_pair(A, T)
 
     def test_ps_case2_instance(self):
@@ -207,7 +208,7 @@ class TestComplementFromSpectrum:
         B = find_spectrum_bruteforce(A)
         T, trace = complement_from_spectrum(A, B)
         assert (trace.theorem, trace.case) == ("S2T-ps", "Case2")
-        assert trace.witnesses == {"I": [2], "J": [0]}
+        assert trace.witnesses == {"I": (2,), "J": (0,)}
         assert verify_tiling_pair(A, T)
 
     def test_ps_case3_instance(self):
@@ -224,7 +225,9 @@ class TestComplementFromSpectrum:
         A = GroupSet.from_indices(q, range(6))
         with pytest.raises(NonSpectralSizeError) as exc_info:
             complement_from_spectrum(A)
-        assert (exc_info.value.witness.m, exc_info.value.witness.s) == (2, 1)
+        witness = exc_info.value.witness
+        assert isinstance(witness, SizeClass) and witness.kind == "mixed"
+        assert (witness.m, witness.s) == (2, 1)
 
     def test_pigeonhole_violation_rejected(self):
         # 5 elements in a group of order 8 cannot be spectral unless A = G
@@ -252,25 +255,25 @@ class TestComplementFromSpectrum:
 
 
 class TestNonspectralSizeWitness:
+    # the size obstruction |A| = m * p^s, 2 <= m <= p-1, is classify_size's
+    # kind "mixed"
     def test_p3_size6(self):
-        q = GroupParams(3, 2)
-        w = nonspectral_size_witness(GroupSet.from_indices(q, range(6)))
-        assert (w.m, w.s) == (2, 1)
+        sc = classify_size(6, GroupParams(3, 2))
+        assert (sc.kind, sc.m, sc.s) == ("mixed", 2, 1)
 
     def test_p2_never_fires(self):
         for k in range(1, 9):
-            assert nonspectral_size_witness(GroupSet.from_indices(P22, range(k))) is None
+            assert classify_size(k, P22).kind != "mixed"
 
     def test_pure_power_none(self):
-        q = GroupParams(3, 2)
-        assert nonspectral_size_witness(GroupSet.from_indices(q, range(9))) is None
+        assert classify_size(9, GroupParams(3, 2)).kind == "pure_power"
 
     def test_witness_soundness_against_search(self):
-        # every witnessed set must fail the brute-force spectrum search
+        # every set of mixed size must fail the brute-force spectrum search
         q = GroupParams(3, 2)
         for offset in range(0, 20, 3):
             A = GroupSet.from_indices(q, range(offset, offset + 6))
-            assert nonspectral_size_witness(A) is not None
+            assert classify_size(A.cardinality, q).kind == "mixed"
             assert find_spectrum_bruteforce(A) is None
 
 
@@ -297,14 +300,14 @@ class TestConstructionRoundTrips:
 def _record_branches(monkeypatch) -> tuple[list[tuple[str, str]], list[tuple]]:
     """Wrap both public constructions where the sweep looks them up; the
     returned lists collect the (theorem, case) of every call and, in the
-    same order, its (construction name, A, partner, profile)."""
+    same order, its (construction name, A, partner, profile, trace)."""
     fired, calls = [], []
 
     def recording(fn):
         def wrapper(A, partner=None, *, profile=None):
             built, trace = fn(A, partner, profile=profile)
             fired.append((trace.theorem, trace.case))
-            calls.append((fn.__name__, A, partner, profile))
+            calls.append((fn.__name__, A, partner, profile, trace))
             return built, trace
 
         return wrapper
@@ -330,13 +333,14 @@ class TestBranchCoverage:
         ("S2T-ps", "Case2"),
         ("S2T-ps", "Case3"),
     }
+    # Z_2 x Z_4 has the p^2-sized branches, Z_3 x Z_3 the size-p Case3
+    SWEEPS = (P22, GroupParams(3, 1))
 
     def test_small_sweeps_fire_every_genuine_branch(self, monkeypatch):
         from spectile import enumerate_and_check
 
         fired, _ = _record_branches(monkeypatch)
-        # Z_2 x Z_4 has the p^2-sized branches, Z_3 x Z_3 the size-p Case3
-        for q in (P22, GroupParams(3, 1)):
+        for q in self.SWEEPS:
             report = enumerate_and_check(q, shards=1)
             assert report.mismatches == []
         assert set(fired) == self.GENUINE_BRANCHES
@@ -372,7 +376,7 @@ class TestProfileReuse:
         firings = [a for f, a in zip(fired, args) if f in partner_cases]
         expected = {
             (name, profile.key(), A.cardinality, partner.mask)
-            for name, A, partner, profile in firings
+            for name, A, partner, profile, _ in firings
         }
         assert len(firings) > len(expected) > 0
         assert len(calls) == len(expected)
@@ -417,15 +421,32 @@ class TestStoredPartners:
             assert b1 == b2 and t1 == t2 and t1 == fn(A, partner)[1]
             assert t1 is not t2 and t1.witnesses is not t2.witnesses
 
-    def test_mutating_a_trace_leaves_the_store(self):
+    def test_mutating_a_trace_leaves_the_store(self, monkeypatch):
+        from dataclasses import FrozenInstanceError
+
+        from spectile import enumerate_and_check
+
+        def immutable(value):
+            return isinstance(value, int) or (
+                isinstance(value, tuple) and all(immutable(v) for v in value)
+            )
+
+        # every call shares the stored trace's values, so each must be
+        # immutable; only the witnesses dict is a call's own
+        _, calls = _record_branches(monkeypatch)
+        for q in TestBranchCoverage.SWEEPS:
+            assert enumerate_and_check(q, shards=1).mismatches == []
+        assert calls
+        for *_, trace in calls:
+            for name in ("theorem", "case", "witnesses"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(trace, name, None)
+            assert all(immutable(v) for v in trace.witnesses.values()), trace
         A, T, B = self._pairs()
         profile = zero_set(A)
         for fn, partner in ((spectrum_from_tile, T), (complement_from_spectrum, B)):
             _, first = fn(A, partner, profile=profile)
             clean = fn(A, partner)[1]
-            for value in first.witnesses.values():
-                if isinstance(value, list):
-                    value.append(99)
             first.witnesses["extra"] = 1
             assert fn(A, partner, profile=profile)[1] == clean
 

@@ -63,7 +63,7 @@ def case3_witness_scan(q, B, j0):
             d = (x1 - x2) % q.pn
             if t1 != t2 and d and valuation(d, q.p, q.n) == target:
                 c = d // q.p**target % q.p * pow(t1 - t2, -1, q.p) % q.p
-                return c, [[t1, x1], [t2, x2]]
+                return c, ((t1, x1), (t2, x2))
     return None
 
 
