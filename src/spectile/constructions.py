@@ -311,9 +311,7 @@ def complement_from_spectrum(
     if B is not None:
         _require_same_params(A.params, B.params)
     T, trace = _stored(_spectral_complement, A, B, profile)
-    # G and {0}, the trivial branches' complements, tile every A they serve
-    if trace.theorem not in ("S2T-trivial", "S2T-big"):
-        _verify_complement(A, T, f"{trace.theorem} {trace.case}")
+    _verify_complement(A, T, f"{trace.theorem} {trace.case}")
     return T, trace
 
 

@@ -298,15 +298,8 @@ def scale_translate(A: GroupSet, a: int, g: Element) -> GroupSet:
 
 
 def difference_set(A: GroupSet) -> GroupSet:
-    """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty.
-
-    The OR of the |A| translates A - a, at any order.
-    """
-    t = group_tables(A.params)
-    out = 0
-    for idx in A.indices():
-        out |= t.translate_mask(A.mask, t.sub_index(0, idx))
-    return GroupSet(A.params, out)
+    """The set {a - a' : a, a' in A}; contains (0,0) whenever A is nonempty."""
+    return GroupSet(A.params, group_tables(A.params).minus_mask(A.mask, A.indices()))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +472,14 @@ class GroupTables:
             k = gx * self.pn
             m = ((m << k) | (m >> (self.order - k))) & self.full_mask
         return m
+
+    def minus_mask(self, m: int, idxs) -> int:
+        """Bitmap of {e - a : e in m, a in idxs}, the OR of the translates
+        of m by -a; with idxs the elements of m it is the difference set."""
+        out = 0
+        for a in idxs:
+            out |= self.translate_mask(m, self.sub_index(0, a))
+        return out
 
     def scale_mask(self, m: int, a: int) -> int:
         """Bitmap of {a * e : e in m}; a need not be a unit."""

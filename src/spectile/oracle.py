@@ -9,7 +9,8 @@ lexicographic branch order; a tiling complement is an exact cover by
 translates, normalized so the cover always uses the translate by 0, with
 first-fail cell selection and translate columns tried in ascending index
 order.  Both searches keep an explicit stack, so their depth is bounded
-by the group order, not by the recursion limit.
+by the group order, not by the recursion limit, and nothing per vertex
+or offset besides it.
 
 enumerate_and_check sweeps the subsets of the given cardinalities (all
 of them by default), decides tile and spectral for every subset by the
@@ -122,39 +123,27 @@ def _first_pair(p: int, pairs: list, rids) -> tuple[int, int] | None:
 
     v - u lies in the class (1,0) iff y_u = y_v, and in the class (c, p^i)
     iff y_u = y_v mod p^i, the digits d_i(y) = (y // p^i) mod p differ, and
-    x - c*d_i(y) agrees mod p.  So a class holds no difference exactly when
-    B has as many keys as (key, digit) pairs.  Otherwise the class is
-    walked in descending order of B, keeping per key the least position,
-    its digit, and the least position with another digit: each element
-    meets its least partner, and the last hit is the class's first pair.
+    x - c*d_i(y) agrees mod p.  So each class is one ascending pass over B
+    that keeps, per key, the first element's position and digit: the first
+    later element of that key with another digit is its partner.  That is
+    exact, since if any element of a key has a partner, the key's first
+    element has one at least as early.  The least such pair over all
+    classes is returned.
     """
-    k = len(pairs)
-    hits = []  # per class that holds a difference, its first pair
-    kinds: dict[int, int] = {}  # level i -> number of (key, digit) pairs at i
+    best = None
     for rid in rids:
-        if rid == 0:  # key y, digit x; the k elements are k (key, digit) pairs
-            if len({y for _, y in pairs}) == k:
-                continue
-            keys, digits = [y for _, y in pairs], [x for x, _ in pairs]
+        if rid == 0:  # key y, digit x
+            kds = [(y, x) for x, y in pairs]
         else:  # a key and a digit at level i fix (x, y mod p^(i+1))
             i, c = divmod(rid - 1, p)
             w = p**i
-            if i not in kinds:
-                kinds[i] = len({(x, y % (w * p)) for x, y in pairs})
-            if len({y % w * p + (x - c * (y // w)) % p for x, y in pairs}) == kinds[i]:
-                continue
-            keys = [y % w * p + (x - c * (y // w)) % p for x, y in pairs]
-            digits = [y // w % p for _, y in pairs]
-        seen: dict[int, tuple] = {}
-        for j in range(k - 1, -1, -1):
-            m1, d1, m2 = seen.get(keys[j], (None, digits[j], None))
-            if digits[j] != d1:
-                m2 = m1
-            seen[keys[j]] = (j, digits[j], m2)
-            if m2 is not None:
-                hit = (j, m2)
-        hits.append(hit)  # bound: the class holds a difference, so some element met a partner
-    return min(hits, default=None)
+            kds = [(y % w * p + (x - c * (y // w)) % p, y // w % p) for x, y in pairs]
+        first: dict[int, tuple[int, int]] = {}
+        for v, (key, d) in enumerate(kds):
+            u, du = first.setdefault(key, (v, d))
+            if d != du and (best is None or (u, v) < best):
+                best = (u, v)
+    return best
 
 
 def verify_spectral_pair(A: GroupSet, B: GroupSet) -> bool:
@@ -241,7 +230,10 @@ def _find_cover(t: GroupTables, mask: int) -> int | None:
 
     The translate by 0 is always used (any tiling complement can be
     translated to contain 0).  Cell selection is first-fail: the uncovered
-    index with the fewest usable translates, lowest index on ties.
+    index with the fewest usable translates, lowest index on ties.  At each
+    node blocked = cover - A is computed once, and the translate by g is
+    usable exactly when bit g of blocked is clear.  The search keeps only
+    its stack and one running cover: nothing per offset.
     """
     k = mask.bit_count()
     if k == 0 or t.order % k:
@@ -250,13 +242,12 @@ def _find_cover(t: GroupTables, mask: int) -> int | None:
     if mask == full:
         return 1
     idxs = GroupSet(t.params, mask).indices()
-    translate = t.translate_mask
-    sub = t.sub_index
-    trans_cache: dict[int, int] = {0: mask}
+    translate, sub, minus = t.translate_mask, t.sub_index, t.minus_mask
 
     def branches(cover: int) -> list[int]:
         # the usable translates at the first-fail cell, descending so that
         # pop() tries them in ascending order; [] at a dead cell
+        blocked = minus(cover, idxs)
         best: list[int] | None = None
         m = full & ~cover
         while m:
@@ -266,10 +257,7 @@ def _find_cover(t: GroupTables, mask: int) -> int | None:
             cands = []
             for a in idxs:
                 g = sub(c, a)
-                ag = trans_cache.get(g)
-                if ag is None:
-                    ag = trans_cache[g] = translate(mask, g)
-                if not ag & cover:
+                if not blocked >> g & 1:
                     cands.append(g)
             if not cands:
                 return cands
@@ -289,11 +277,11 @@ def _find_cover(t: GroupTables, mask: int) -> int | None:
         g, todo = stack[-1]
         if not todo:
             stack.pop()
-            cover ^= trans_cache[g]
+            cover ^= translate(mask, g)
             picks ^= 1 << g
             continue
         g = todo.pop()
-        cover |= trans_cache[g]
+        cover |= translate(mask, g)
         picks |= 1 << g
         if cover == full:
             return picks

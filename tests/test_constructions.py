@@ -196,6 +196,19 @@ class TestComplementFromSpectrum:
         assert T == GroupSet.full(P22)
         assert trace.theorem == "S2T-trivial"
 
+    def test_trivial_branches_check_their_complement(self, monkeypatch):
+        # a wrong partner from the trivial branch is caught by the tiling
+        # check like any other branch's, not returned
+        wrong = GroupSet.from_indices(P22, [0])
+        monkeypatch.setattr(
+            constructions, "_spectral_complement",
+            lambda A, B, profile: (wrong, constructions.CaseTrace("S2T-trivial", "Trivial")),
+        )
+        with pytest.raises(
+            InvalidInputError, match="S2T-trivial Trivial: constructed complement failed verification"
+        ):
+            complement_from_spectrum(GroupSet.from_indices(P22, [6]))
+
     def test_ps_case1_instance(self):
         A = GroupSet.from_indices(P23, [0, 1, 2, 3])
         T, trace = complement_from_spectrum(A)

@@ -193,6 +193,36 @@ class TestBruteForceSearches:
             else:
                 assert T is None, mask
 
+    # sha256 over "mask complement" lines, -1 for no complement, in
+    # ascending mask order: the search's first solution on every mask of
+    # a size dividing the order, and on every 5-subset of Z5xZ5.  Any
+    # change to the first-fail cell, its tie-break or the candidate
+    # order moves some complement and fails here.
+    SEARCH_DIGESTS = {
+        (2, 2, None): "a3b2b2d4e7fc99086d70b4a421d5309c30be147d730363a624121808a1b527fa",
+        (3, 1, None): "a366717b58c5e1807d1d378a92c6b435f12ab5c3f1d27a2b325c475922d50673",
+        (2, 3, None): "af6f4e4b94e46c3b0f3d7de7713740da4513a5cf1e94e76f1d0180f252621f02",
+        (5, 1, 5): "cab580eed5c8fd35450962566f132208012c36bdd649520536b4fc6857759a83",
+    }
+
+    @pytest.mark.parametrize(
+        "p, n, size", list(SEARCH_DIGESTS), ids=["Z2xZ4", "Z3xZ3", "Z2xZ8", "Z5xZ5-size5"]
+    )
+    def test_complement_search_first_solutions_pinned(self, p, n, size):
+        import hashlib
+
+        q = GroupParams(p, n)
+        if size is None:
+            masks = [m for m in range(1, 1 << q.order) if q.order % m.bit_count() == 0]
+        else:
+            masks = sorted(sum(1 << i for i in c) for c in combinations(range(q.order), size))
+        lines = []
+        for mask in masks:
+            T = find_complement_bruteforce(GroupSet(q, mask))
+            lines.append(f"{mask} {-1 if T is None else T.mask}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.SEARCH_DIGESTS[p, n, size]
+
     def test_complement_search_prunes_dead_cells(self):
         # A non-tile whose differences leave (0, 3) uncoverable: an exact
         # cover fails at once; a clique search on G minus A - A, which lacks
@@ -237,8 +267,8 @@ class TestBruteForceSearches:
 
     def test_complement_search_keeps_one_cover(self):
         # a singleton's cover picks all 8192 translates at order 8192; one
-        # running cover bitmap undone by XOR peaks near 6 MB, the translate
-        # cache kept, where a cover bitmap per stack frame reached 15.7 MB
+        # running cover bitmap undone by XOR stays under the bound, where
+        # a cover bitmap per stack frame reached 15.7 MB
         q = GroupParams(2, 12)
         A = GroupSet.from_indices(q, [5])
         tracemalloc.start()
@@ -249,6 +279,21 @@ class TestBruteForceSearches:
             tracemalloc.stop()
         assert T == GroupSet.full(q)
         assert peak < 10_000_000
+
+    def test_complement_search_keeps_only_its_stack(self):
+        # order 16384: the singleton's 16384 picks leave one frame each on
+        # the stack and nothing per offset; a whole-group translate cached
+        # per offset peaked at 21.3 MB here
+        q = GroupParams(2, 13)
+        A = GroupSet.from_indices(q, [0])
+        tracemalloc.start()
+        try:
+            T = find_complement_bruteforce(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T == GroupSet.full(q)
+        assert peak < 5_000_000
 
     def test_empty_set_has_no_partners(self):
         E = GroupSet.empty(P22)

@@ -19,6 +19,7 @@ from spectile import (
     find_spectrum_bruteforce,
     is_zero_equidist,
     spectral_pair_violation,
+    spectral_violation_pair,
     tiling_pair_violation,
     valuation,
     zero_set,
@@ -44,11 +45,13 @@ def lowest_shared_difference(A, T):
 
 
 def first_spectral_failure(A, B):
+    # the first pair u < v of B, in ascending index order, whose
+    # difference lies outside the zero set of A
     elems = B.elements()
     for i, u in enumerate(elems):
         for v in elems[i + 1:]:
             if not is_zero_equidist(A, v - u):
-                return v - u
+                return u, v
     return None
 
 
@@ -100,7 +103,12 @@ def test_spectral_witness_is_first_failing_pair(q):
         if B is None:
             B = random_set(rng, q, k)
         expected = first_spectral_failure(A, B)
-        assert spectral_pair_violation(A, B) == expected
+        assert spectral_violation_pair(A, B) == expected
+        if expected is None:
+            assert spectral_pair_violation(A, B) is None
+        else:
+            u, v = expected
+            assert spectral_pair_violation(A, B) == v - u
         outcomes.add(expected is None)
     assert outcomes == {True, False}
 
