@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Iterator
 
 from .errors import CapacityError, ParameterError
@@ -41,19 +42,8 @@ _FIELD_BITS = 7
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test; group orders keep p small."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic trial division; GroupParams runs it only on p <= 2^24."""
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -64,14 +54,16 @@ class GroupParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ParameterError(f"p must be a prime integer, got {self.p!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if self.p ** (self.n + 1) > DEFAULT_ORDER_LIMIT:
+        p, n = self.p, self.n
+        # the trial division runs only on a p the order limit can admit, and
+        # the power only on such an n: p >= 2 puts every n >= 24 over it
+        if not isinstance(p, int) or p <= DEFAULT_ORDER_LIMIT and not is_prime(p):
+            raise ParameterError(f"p must be a prime integer, got {p!r}")
+        if not isinstance(n, int) or n < 1:
+            raise ParameterError(f"n must be a positive integer, got {n!r}")
+        if n >= 24 or p ** (n + 1) > DEFAULT_ORDER_LIMIT:
             raise ParameterError(
-                f"group order p^(n+1) = {self.p}^{self.n + 1} exceeds the "
-                f"limit {DEFAULT_ORDER_LIMIT}"
+                f"group order p^(n+1) = {p}^{n + 1} exceeds the limit {DEFAULT_ORDER_LIMIT}"
             )
 
     @cached_property
@@ -321,17 +313,20 @@ def _rep_id(p: int, x: int, y: int) -> int:
 class GroupTables:
     """Lookup structures for one group, shared by all hot paths.
 
-    Everything sized in the group order is built lazily so that large (but
-    in-cap) groups only pay for the tables their operations actually touch.
-    The rotation keep masks are prebuilt, one per y offset, only up to
-    SWEEP_ORDER_LIMIT; above it each translation builds its own, so memory
-    stays a few bitmaps whatever the translations used.
+    Everything sized in the group order is a cached property, built on
+    first use, so that large (but in-cap) groups only pay for the tables
+    their operations actually touch.  The rotation keep masks are prebuilt,
+    one per y offset, only up to SWEEP_ORDER_LIMIT; above it each
+    translation builds its own, so memory stays a few bitmaps whatever the
+    translations used.
     """
 
+    # Cached properties go to __dict__, the rest to slots: in a plain instance
+    # dict, storing the first cached property made every read such as t.pn
+    # about 3x slower (CPython 3.11), and the canonical sweep with it.
     __slots__ = (
         "params", "p", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "rep_count", "rep_elem_index", "_class_masks",
-        "_key_tables", "_orbit_tables", "_rot_keep",
+        "rep_count", "rep_elem_index", "_rot_keep", "__dict__",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -350,9 +345,6 @@ class GroupTables:
         self.rep_elem_index = [pn] + [c * pn + p**i for i in range(n) for c in range(p)]
         self.rep_count = len(self.rep_elem_index)
 
-        self._class_masks = None
-        self._key_tables = None
-        self._orbit_tables = None
         self._rot_keep = None
         if order <= SWEEP_ORDER_LIMIT:  # at gy = 0 the keep mask is every bit
             self._rot_keep = [self._replicated_low_bits(pn - gy) for gy in range(pn)]
@@ -367,17 +359,15 @@ class GroupTables:
             blocks *= 2
         return k & self.full_mask
 
-    @property
+    @cached_property
     def class_masks(self) -> list[int]:
         """Bitmap of each unit-equivalence class, indexed by rep id."""
-        if self._class_masks is None:
-            class_masks = [0] * self.rep_count
-            p, pn = self.p, self.pn
-            for idx in range(1, self.order):
-                x, y = divmod(idx, pn)
-                class_masks[_rep_id(p, x, y)] |= 1 << idx
-            self._class_masks = class_masks
-        return self._class_masks
+        class_masks = [0] * self.rep_count
+        p, pn = self.p, self.pn
+        for idx in range(1, self.order):
+            x, y = divmod(idx, pn)
+            class_masks[_rep_id(p, x, y)] |= 1 << idx
+        return class_masks
 
     def _require_table_order(self, what: str) -> None:
         if self.order > SWEEP_ORDER_LIMIT:
@@ -400,15 +390,17 @@ class GroupTables:
             tables.append(table)
         return tables
 
-    def _build_key_tables(self) -> tuple:
-        """Byte tables of packed slice counts, and one field mask per rep.
+    @cached_property
+    def key_tables(self) -> tuple:
+        """What profile_key reads: byte tables of packed slice counts and
+        its masks COMPARED, ADD and GUARD.  Refused above SWEEP_ORDER_LIMIT.
 
         Element e adds 1 to field rid * p^n + c * p + j for every rep id rid,
         where <e, u> = c + j * p^(n-1) with c < p^(n-1) for its rep u: the
         count of the set on fiber j of residue class c.  Table b maps byte
         b of a mask to the packed counts of its elements, so a set's counts
-        are one table lookup per byte.  Mask rid selects every field of the
-        rep whose right-hand neighbour lies in the same class.
+        are one table lookup per byte.  COMPARED selects every field whose
+        right-hand neighbour lies in the same class.
         """
         self._require_table_order("profile_key")
         p, pn, pn1, w = self.p, self.pn, self.pn1, _FIELD_BITS
@@ -417,15 +409,15 @@ class GroupTables:
             for rid, u in enumerate(self.rep_elem_index):
                 j, c = divmod(self.inner(idx, u), pn1)
                 packed[idx] += 1 << w * (rid * pn + c * p + j)
-        tables = self._byte_tables(packed)
         field_low = sum(1 << w * (c * p + j) for c in range(pn1) for j in range(p - 1))
-        masks = [(1 << rid, (field_low << w * rid * pn) * ((1 << w) - 1))
-                 for rid in range(self.rep_count)]
-        return tables, masks
+        blocks = sum(1 << w * rid * pn for rid in range(self.rep_count))
+        guard = blocks << w * (pn - 1)
+        return self._byte_tables(packed), field_low * blocks * ((1 << w) - 1), guard - blocks, guard
 
-    def _build_orbit_tables(self) -> tuple:
-        """What the orbit scan of oracle._orbit_min reads; kept after the
-        first call.  Refused above SWEEP_ORDER_LIMIT.
+    @cached_property
+    def orbit_tables(self) -> tuple:
+        """What the orbit scan of oracle._orbit_min reads.  Refused above
+        SWEEP_ORDER_LIMIT.
 
         - The bits of x = 0 and the bits of y = 0.
         - Per unit a of Z_{p^n}, ascending, the byte tables of the scaling
@@ -450,10 +442,7 @@ class GroupTables:
             for gy, keep in enumerate(self._rot_keep)
         ]
         x_shifts = [order - gx * pn for gx in (*range(1, p), 0)]
-        self._orbit_tables = (
-            (1 << pn) - 1, self._rot_keep[pn - 1], scalings, y_rotations, x_shifts,
-        )
-        return self._orbit_tables
+        return (1 << pn) - 1, self._rot_keep[pn - 1], scalings, y_rotations, x_shifts
 
     def sub_index(self, a: int, b: int) -> int:
         ax, ay = divmod(a, self.pn)
@@ -499,27 +488,34 @@ class GroupTables:
         return (self.pn1 * ex * ux + ey * uy) % self.pn
 
     def profile_key(self, mask: int) -> int:
-        """Bitmask over rep ids of the classes in the zero set of `mask`.
+        """The guard key g of `mask`: one bit per class outside its zero set.
 
-        Bit rid is set iff the character at the rep with id rid sums to zero on the
-        set, decided by the slice-count equality criterion: in every
-        residue class c mod p^(n-1) the set has equally many elements on
-        each of the p fibers {e : <e, u> = c + j p^(n-1)}.  The counts are
-        summed from per-byte tables as packed 7-bit fields, and adjacent
-        fields are compared all at once by XOR-ing the sum with itself
-        shifted one field down.  Groups above order 32 (the sweep limit)
-        are refused with CapacityError.
+        The character at rep u sums to zero on the set iff, in every residue
+        class c mod p^(n-1), the set has equally many elements on each of
+        the p fibers {e : <e, u> = c + j p^(n-1)}.  The counts are summed
+        from per-byte tables as packed 7-bit fields (key_tables), and d =
+        (counts ^ counts >> 7) & COMPARED is nonzero in block rid, the p^n
+        fields of rep rid, iff two adjacent counts differ.  The block's top
+        field (c = p^(n-1) - 1, j = p - 1) is never compared, so ADD = GUARD
+        - BLOCKS, 2^(7(p^n - 1)) - 1 at each block's base, carries into its
+        low bit exactly then: g = d + ADD & GUARD has bit 7((rid + 1) p^n -
+        1) set iff class rid is not a zero, and rep_bits reads the zeros
+        back.  The lowest guard bit is bit 7 or above, so g | k is injective
+        for 0 <= k < 128.  Groups above order 32 (the sweep limit) are
+        refused with CapacityError.
         """
-        if self._key_tables is None:
-            self._key_tables = self._build_key_tables()
-        tables, masks = self._key_tables
+        tables, compared, add, guard = self.key_tables
         counts = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
-        diff = counts ^ counts >> _FIELD_BITS
-        key = 0
-        for bit, m in masks:
-            if not diff & m:
-                key |= bit
-        return key
+        return ((counts ^ counts >> _FIELD_BITS) & compared) + add & guard
+
+    def rep_bits(self, g: int) -> int:
+        """The bitmask over rep ids of the zero set whose guard key is g:
+        bit rid is set iff the guard bit of block rid is clear.  A zero
+        cover, Z(A) and Z(T) together holding every class, is gA & gT == 0.
+        """
+        step = _FIELD_BITS * self.pn
+        guards = range(step - _FIELD_BITS, step * self.rep_count, step)
+        return sum(1 << rid for rid, bit in enumerate(guards) if not g >> bit & 1)
 
 
 @lru_cache(maxsize=None)

@@ -20,16 +20,18 @@ both verdicts (A tiles with T exactly when |A||T| = |G| and Z(A) and
 Z(T) together hold every nonzero character) and every check that
 depends only on them: divisibility, size obstruction, pigeonhole and
 tile against spectral are decided once per entry and reported on every
-subset it serves.  The key is summed from per-byte table lookups.  The
-canonical filter is canonicalize's orbit scan, stopped at the first
-smaller image: two ANDs reject a set with no element on y = 0 or none on
-x = 0, and the scan sums each unit multiple from per-byte tables and
-rotates it through the translations by masked shifts.  Work is split
-into shards whose merge is independent of the shard count, so reports
-are byte-identical however the sweep is partitioned: the colex ranks
-of each size are cut into blocks of _SHARD_BLOCK, walked by Gosper's
-successor, and the blocks of all sizes, numbered in one sequence, are
-dealt round-robin to the shards.
+subset it serves.  The key is a guard mask, one bit per class outside
+the zero set, from per-byte tables and no loop over the classes; the
+zero-cover check is one AND of two keys.  The canonical filter is
+canonicalize's orbit scan, stopped at the first smaller image: two ANDs
+reject a set with no element on y = 0 or none on x = 0, and the scan
+sums each unit multiple from per-byte tables and rotates it through the
+translations by masked shifts.  Work is split into shards whose merge
+is independent of the shard count, so reports are byte-identical
+however the sweep is partitioned: the colex ranks of each size are cut
+into blocks of _SHARD_BLOCK, walked by Gosper's successor, and the
+blocks of all sizes, numbered in one sequence, are dealt round-robin to
+the shards.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
     offset one right shift cut to the order.  Only the minimum or the
     verdict is returned, so the scan order is free.
     """
-    x0, y0, scalings, y_rotations, x_shifts = t._orbit_tables or t._build_orbit_tables()
+    x0, y0, scalings, y_rotations, x_shifts = t.orbit_tables
     if first_below and mask:
         if not mask & y0:
             return mask >> 1
@@ -491,18 +493,14 @@ def _run_shard(args: tuple) -> tuple:
     params = GroupParams(p, n)
     t = group_tables(params)
     order = t.order
-    all_reps = (1 << t.rep_count) - 1
     pn = t.pn
-    # The memo maps (profile key, k), packed as key * (order + 1) + k
-    # (injective since k <= order, and cheaper than a tuple in the hot
-    # loop), to both verdicts: a complement of one set with that profile
-    # and size is a complement of every such set.  An entry holds the
-    # profile, the spectrum and complement masks (0 if none) and the
-    # (kind, detail) of every check that fails on each set it serves.  A
-    # miss adds one entry, so the spectral misses are the memo's length.
+    # The memo maps g | k, for g the guard key of a set (its low 7 bits
+    # clear) and k <= 32 its size, to both verdicts: a complement of one
+    # set with that zero profile and size is one of every such set.  An
+    # entry holds the profile, the spectrum and complement masks (0 if
+    # none) and the (kind, detail) of every check failing on each set it
+    # serves.  A miss adds one entry: the spectral misses are len(memo).
     memo: dict[int, tuple[ZeroProfile, int, int, tuple]] = {}
-    # constructed complement mask -> its profile key, for the zero-cover check
-    t2keys: dict[int, int] = {}
 
     examined = 0
     orbits = 0
@@ -542,11 +540,10 @@ def _run_shard(args: tuple) -> tuple:
             if k == 0:
                 empties += 1
                 continue
-            pkey = profile_key(mask)
-            key = pkey * (order + 1) + k
-            entry = memo.get(key)
+            g = profile_key(mask)
+            entry = memo.get(g | k)
             if entry is None:
-                profile = ZeroProfile(params, pkey)
+                profile = ZeroProfile(params, t.rep_bits(g))
                 bmask = _find_clique(t, profile.zero_mask(), k) or 0
                 tmask = (_find_cover(t, mask) or 0) if divides else 0
                 covers += divides
@@ -561,7 +558,7 @@ def _run_shard(args: tuple) -> tuple:
                 tl, sp = tmask != 0, bmask != 0
                 if tl != sp:
                     failed.append(("theorem", f"tile={tl} but spectral={sp}"))
-                entry = memo[key] = (profile, bmask, tmask, tuple(failed))
+                entry = memo[g | k] = (profile, bmask, tmask, tuple(failed))
             profile, bmask, tmask, failed = entry
             for kind, detail in failed:
                 mismatches.append(Mismatch(kind, mask, k, detail))
@@ -574,10 +571,7 @@ def _run_shard(args: tuple) -> tuple:
             T2 = round_trip("complement_from_spectrum", mask, k, bmask, profile)
             if T2 is None:
                 continue
-            t2key = t2keys.get(T2.mask)
-            if t2key is None:
-                t2key = t2keys[T2.mask] = profile_key(T2.mask)
-            if pkey | t2key != all_reps:
+            if g & profile_key(T2.mask):  # a class outside both zero sets
                 mismatches.append(
                     Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
                 )

@@ -118,7 +118,7 @@ class TestZeroSet:
         t = group_tables(q)
         for mask in range(0, 1 << q.order, max(1, (1 << q.order) // 257)):
             prof = zero_set(GroupSet(q, mask))
-            key = t.profile_key(mask)
+            key = t.rep_bits(t.profile_key(mask))
             assert ZeroProfile(q, key).rep_ids() == prof.rep_ids()
             assert prof.key() == key
 
@@ -128,11 +128,47 @@ class TestZeroSet:
         ids=lambda q: f"p{q.p}n{q.n}",
     )
     def test_profile_key_matches_zero_set_on_every_mask(self, q):
-        # the sweep hands ZeroProfile(q, profile_key(mask)) to the
+        # the sweep hands ZeroProfile(q, rep_bits(profile_key(mask))) to the
         # constructions in place of zero_set, so the two must agree everywhere
         t = group_tables(q)
         for mask in range(1 << q.order):
-            assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
+            assert t.rep_bits(t.profile_key(mask)) == zero_set(GroupSet(q, mask)).key(), mask
+
+    @pytest.mark.parametrize(
+        "q", [GroupParams(2, 1), GroupParams(2, 2), GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}"
+    )
+    def test_profile_key_leaves_room_for_the_size(self, q):
+        # the sweep's memo key is profile_key(mask) | k with k <= 32 < 2^7
+        t = group_tables(q)
+        for mask in range(1 << q.order):
+            assert t.profile_key(mask) & 127 == 0, mask
+
+    @pytest.mark.parametrize("q, pairs", [(GroupParams(2, 1), None), (GroupParams(2, 3), 20000)],
+                             ids=["p2n1", "p2n3"])
+    def test_zero_cover_is_one_and(self, q, pairs):
+        # Z(A) and Z(T) hold every class together iff no guard bit is set
+        # in both keys, and per class the AND keeps the classes outside
+        # both.  Every pair of Z2xZ2; seeded pairs of Z2xZ8 with sizes
+        # dividing the order, so that some cover
+        t = group_tables(q)
+        every = (1 << t.rep_count) - 1
+        if pairs is None:
+            masks = [(a, b) for a in range(1 << q.order) for b in range(1 << q.order)]
+        else:
+            rng = random.Random(q.order)
+
+            def draw():
+                return sum(1 << i for i in rng.sample(range(q.order), rng.choice((2, 4, 8))))
+
+            masks = [(draw(), draw()) for _ in range(pairs)]
+        covers = 0
+        for a, b in masks:
+            za, zb = (zero_set(GroupSet(q, m)).key() for m in (a, b))
+            both = t.profile_key(a) & t.profile_key(b)
+            assert (both == 0) == (za | zb == every), (a, b)
+            assert t.rep_bits(both) == za | zb, (a, b)
+            covers += both == 0
+        assert covers > 0
 
     @pytest.mark.parametrize("q", [GroupParams(2, 2), GroupParams(3, 1)], ids=lambda q: f"p{q.p}n{q.n}")
     def test_reps_round_trip_in_report_order(self, q):
@@ -162,7 +198,7 @@ class TestZeroSet:
         for _ in range(3000):
             k = rng.randrange(q.order + 1)
             mask = sum(1 << i for i in rng.sample(range(q.order), k))
-            assert t.profile_key(mask) == zero_set(GroupSet(q, mask)).key(), mask
+            assert t.rep_bits(t.profile_key(mask)) == zero_set(GroupSet(q, mask)).key(), mask
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())

@@ -1,11 +1,16 @@
 import json
 import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import spectile
 from spectile import (
     GroupParams,
     GroupSet,
@@ -422,6 +427,32 @@ class TestLargestAcceptedOrder:
         rc, wall = self._timed(["check-pair", a, b, "--mode", "spectral"])
         assert rc == 0 and wall < self.BOUND_S
         assert capsys.readouterr().out.strip() == "true"
+
+
+class TestHugeParameters:
+    # Each is refused by its order before any work that grows with p or n:
+    # 2^61 - 1 would take about 10^9 trial divisions, and 2^(10^10 + 1) is
+    # a 1.25 GB integer.  Each command runs in a subprocess with a timeout,
+    # so a regression fails here rather than hanging the suite.
+    @pytest.mark.parametrize(
+        "header, argv",
+        [
+            ("2305843009213693951 1", None),
+            ("2 10000000000", None),
+            (None, ["enumerate", "--p", "2305843009213693951", "--n", "1"]),
+        ],
+        ids=["huge-p-header", "huge-n-header", "huge-p-enumerate"],
+    )
+    def test_refused_up_front(self, tmp_path, header, argv):
+        if argv is None:
+            argv = ["analyze", write(tmp_path, "a.txt", f"{header}\n0 0\n")]
+        src = str(Path(spectile.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectile.cli", *argv],
+            capture_output=True, text=True, timeout=5.0, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert f"exceeds the limit {DEFAULT_ORDER_LIMIT}" in proc.stderr
 
 
 class TestUsageErrors:

@@ -711,3 +711,27 @@ class TestSweepFaultInjection:
             "complement failed verification; the input is not the spectral set it "
             "was claimed to be"
         }
+
+
+def test_zero_cover_check_fires(monkeypatch):
+    # complement_from_spectrum hands back {0} with its real trace.  Z({0})
+    # is empty, so the only spectral set whose zero set covers alone is G
+    # itself: every other one is a zero-cover mismatch, and nothing else is
+    from spectile import constructions
+
+    clean = enumerate_and_check(P22)
+    real = constructions.complement_from_spectrum
+
+    def origin_only(A, B=None, **kwargs):
+        _, trace = real(A, B, **kwargs)
+        return GroupSet(A.params, 1), trace
+
+    monkeypatch.setattr(constructions, "complement_from_spectrum", origin_only)
+    reports = [enumerate_and_check(P22, shards=s) for s in (1, 2)]
+    assert reports[0].canonical_json() == reports[1].canonical_json()
+    report = reports[0]
+    assert len(report.mismatches) == clean.spectral - 1 == 74
+    assert {(mm.kind, mm.detail) for mm in report.mismatches} == {
+        ("zero-cover", "zero sets of tiling pair do not cover")
+    }
+    assert (1 << P22.order) - 1 not in {mm.mask for mm in report.mismatches}
