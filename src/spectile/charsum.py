@@ -162,7 +162,8 @@ class ZeroProfile:
     For the same reason the constructions keep in _built what they derive
     from a profile, |A| and a supplied partner alone: the built partner,
     its trace and the spectral-pair checks, once per (construction, |A|,
-    partner).  It is filled only when a caller passes the profile in, and
+    partner), with the translate sums of the T each later A is checked
+    against.  It is filled only when a caller passes the profile in, and
     it takes no part in equality, hashing or repr.
     """
 

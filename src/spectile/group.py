@@ -20,7 +20,7 @@ Each unit-equivalence class is named by its rep id: 0 for (1, 0) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Iterator
@@ -34,8 +34,9 @@ DEFAULT_ORDER_LIMIT = 2**24
 
 # Largest order an exhaustive sweep or canonicalize accepts, and so the
 # largest for which any per-group table is prebuilt: the rotation masks and
-# the byte tables of profile_key and the orbit scan (at most 4 tables of 256
-# entries per table set).  Single-set operations count residues instead.
+# the byte tables of profile_key, the orbit scan and translate_sums (at most
+# 4 tables of 256 entries per table set).  Single-set operations count
+# residues instead.
 SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
@@ -46,12 +47,20 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupParams:
-    """The pair (p, n) fixing the ambient group Z_p x Z_{p^n}."""
+    """The pair (p, n) fixing the ambient group Z_p x Z_{p^n}.
+
+    pn = p^n and order = p^(n+1) are slots set once the pair is admitted:
+    every hot path reads them, and a slot read stays fast where a cached
+    property in an instance dict does not.  They take no part in init,
+    repr, equality or hashing.
+    """
 
     p: int
     n: int
+    pn: int = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, n = self.p, self.n
@@ -65,16 +74,8 @@ class GroupParams:
             raise ParameterError(
                 f"group order p^(n+1) = {p}^{n + 1} exceeds the limit {DEFAULT_ORDER_LIMIT}"
             )
-
-    @cached_property
-    def pn(self) -> int:
-        """Order p^n of the second factor."""
-        return self.p**self.n
-
-    @cached_property
-    def order(self) -> int:
-        """Group order p^(n+1)."""
-        return self.p ** (self.n + 1)
+        object.__setattr__(self, "pn", p**n)
+        object.__setattr__(self, "order", p ** (n + 1))
 
     def element(self, x: int, y: int) -> "Element":
         return Element(self, x, y)
@@ -140,7 +141,7 @@ class Element:
 
 
 def _require_same_params(a: GroupParams, b: GroupParams) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ParameterError(f"mismatched group parameters: {a} vs {b}")
 
 
@@ -461,6 +462,19 @@ class GroupTables:
             k = gx * self.pn
             m = ((m << k) | (m >> (self.order - k))) & self.full_mask
         return m
+
+    def translate_sums(self, m: int) -> list[list[int]]:
+        """Byte tables of the translates of m: looking up the bytes of a
+        mask A gives the sum of m + a over a in A.  Refused above
+        SWEEP_ORDER_LIMIT.
+
+        When |A| |m| is the order, that sum is full_mask exactly when the
+        translates are disjoint: |G| powers of two sum to 2^|G| - 1 only
+        when no two coincide.  The size test must come first, since 1 + 1
+        + 1 = 2^2 - 1.
+        """
+        self._require_table_order("translate sum")
+        return self._byte_tables([self.translate_mask(m, i) for i in range(self.order)])
 
     def minus_mask(self, m: int, idxs) -> int:
         """Bitmap of {e - a : e in m, a in idxs}, the OR of the translates

@@ -22,16 +22,18 @@ depends only on them: divisibility, size obstruction, pigeonhole and
 tile against spectral are decided once per entry and reported on every
 subset it serves.  The key is a guard mask, one bit per class outside
 the zero set, from per-byte tables and no loop over the classes; the
-zero-cover check is one AND of two keys.  The canonical filter is
-canonicalize's orbit scan, stopped at the first smaller image: two ANDs
-reject a set with no element on y = 0 or none on x = 0, and the scan
-sums each unit multiple from per-byte tables and rotates it through the
-translations by masked shifts.  Work is split into shards whose merge
-is independent of the shard count, so reports are byte-identical
-however the sweep is partitioned: the colex ranks of each size are cut
-into blocks of _SHARD_BLOCK, walked by Gosper's successor, and the
-blocks of all sizes, numbered in one sequence, are dealt round-robin to
-the shards.
+zero-cover check is one AND of two keys.  The constructions keep the
+partner each entry builds on its profile, with byte tables of the
+complement's translates, so each positive's tiling-pair checks are one
+table sum.  The canonical filter is canonicalize's orbit scan, stopped
+at the first smaller image: two ANDs reject a set with no element on
+y = 0 or none on x = 0, and the scan sums each unit multiple from
+per-byte tables and rotates it through the translations by masked
+shifts.  Work is split into shards whose merge is independent of the
+shard count, so reports are byte-identical however the sweep is
+partitioned: the colex ranks of each size are cut into blocks of
+_SHARD_BLOCK, walked by Gosper's successor, and the blocks of all
+sizes, numbered in one sequence, are dealt round-robin to the shards.
 """
 
 from __future__ import annotations
@@ -406,9 +408,10 @@ class EnumerationReport:
     wall_time, stats and shard_stats are informational and excluded from
     the canonical serialization so reports compare byte-for-byte across
     shard counts.  stats maps each verdict ("spectral", "tile") to its memo
-    lookups and misses (a tile miss is one complement search), summed over
-    shards; shard_stats holds each shard's (subsets examined, seconds), in
-    shard order.
+    lookups and misses (a tile miss is one complement search), and
+    "construction" to the round trips and the partners the constructions
+    built and stored for them, summed over shards; shard_stats holds each
+    shard's (subsets examined, seconds), in shard order.
     """
 
     params: GroupParams
@@ -497,10 +500,11 @@ def _run_shard(args: tuple) -> tuple:
     # The memo maps g | k, for g the guard key of a set (its low 7 bits
     # clear) and k <= 32 its size, to both verdicts: a complement of one
     # set with that zero profile and size is one of every such set.  An
-    # entry holds the profile, the spectrum and complement masks (0 if
+    # entry holds the profile, the spectrum and the complement (None if
     # none) and the (kind, detail) of every check failing on each set it
     # serves.  A miss adds one entry: the spectral misses are len(memo).
-    memo: dict[int, tuple[ZeroProfile, int, int, tuple]] = {}
+    # The constructions store what they build on the entry's profile.
+    memo: dict[int, tuple[ZeroProfile, GroupSet | None, GroupSet | None, tuple]] = {}
 
     examined = 0
     orbits = 0
@@ -512,16 +516,14 @@ def _run_shard(args: tuple) -> tuple:
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
 
-    def round_trip(name, mask, k, partner, profile):
+    def round_trip(name, A, k, partner, profile):
         # the construction is looked up by name on each call, so a wrapper
         # put on the module attribute sees every call
         try:
-            built, _ = getattr(constructions, name)(
-                GroupSet(params, mask), GroupSet(params, partner), profile=profile
-            )
+            built, _ = getattr(constructions, name)(A, partner, profile=profile)
         except Exception as exc:  # any failure here is a finding
             mismatches.append(
-                Mismatch("construction", mask, k, f"{name}: {type(exc).__name__}: {exc}")
+                Mismatch("construction", A.mask, k, f"{name}: {type(exc).__name__}: {exc}")
             )
             return None
         return built
@@ -558,17 +560,25 @@ def _run_shard(args: tuple) -> tuple:
                 tl, sp = tmask != 0, bmask != 0
                 if tl != sp:
                     failed.append(("theorem", f"tile={tl} but spectral={sp}"))
-                entry = memo[g | k] = (profile, bmask, tmask, tuple(failed))
-            profile, bmask, tmask, failed = entry
+                entry = memo[g | k] = (
+                    profile,
+                    GroupSet(params, bmask) if bmask else None,
+                    GroupSet(params, tmask) if tmask else None,
+                    tuple(failed),
+                )
+            profile, B, T, failed = entry
             for kind, detail in failed:
                 mismatches.append(Mismatch(kind, mask, k, detail))
-            if tmask:
+            if T is None and B is None:
+                continue
+            A = GroupSet(params, mask)
+            if T is not None:
                 tiles += 1
-                round_trip("spectrum_from_tile", mask, k, tmask, profile)
-            if not bmask:
+                round_trip("spectrum_from_tile", A, k, T, profile)
+            if B is None:
                 continue
             spectral += 1
-            T2 = round_trip("complement_from_spectrum", mask, k, bmask, profile)
+            T2 = round_trip("complement_from_spectrum", A, k, B, profile)
             if T2 is None:
                 continue
             if g & profile_key(T2.mask):  # a class outside both zero sets
@@ -580,7 +590,8 @@ def _run_shard(args: tuple) -> tuple:
         first += -(-comb(order, k) // _SHARD_BLOCK)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
-    memo_stats = (spectral_lookups, len(memo), tile_lookups, covers)
+    built = sum(len(entry[0]._built) for entry in memo.values())
+    memo_stats = (spectral_lookups, len(memo), tile_lookups, covers, tiles + spectral, built)
     return (
         examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats,
         time.perf_counter() - start,
@@ -664,6 +675,7 @@ def enumerate_and_check(
         stats={
             "spectral": {"lookups": memo[0], "misses": memo[1]},
             "tile": {"lookups": memo[2], "misses": memo[3]},
+            "construction": {"lookups": memo[4], "misses": memo[5]},
         },
         shard_stats=[(r[0], r[6]) for r in results],
     )

@@ -337,6 +337,8 @@ class TestEnumerateCommand:
         assert err[0].startswith("wall-time: ")
         assert err[1].startswith("spectral-memo: lookups=255 misses=")
         assert err[2].startswith("tile-memo: lookups=107 misses=")
+        # one round trip per tile and per spectral set: 75 of each
+        assert err[3].startswith("construction-memo: lookups=150 misses=")
 
     def test_verbose_prints_one_line_per_shard(self, tmp_path, capsys):
         out = tmp_path / "report.json"

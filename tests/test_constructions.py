@@ -19,7 +19,7 @@ from spectile import (
 from spectile import constructions
 from spectile.charsum import ZeroProfile
 from spectile.constructions import _lowest_index, _tile_spectrum_case
-from spectile.group import class_members
+from spectile.group import class_members, group_tables
 
 from conftest import make_set
 
@@ -419,7 +419,8 @@ class TestProfileReuse:
 
 class TestStoredPartners:
     # a passed profile keeps what each construction derives from |A|, the
-    # profile and the partner; everything that reads A still runs per call
+    # profile and the partner, with the translate sums of the T that A is
+    # checked against; each call still checks its own A by those sums
 
     A = GroupSet.from_indices(P23, [0, 1, 2, 9])  # T2S-pt Case2, S2T-ps Case3
 
@@ -524,6 +525,92 @@ class TestStoredPartners:
             "S2T-p Case2: constructed complement failed verification; "
             "the input is not the spectral set it was claimed to be"
         )
+
+    def test_each_set_still_checks_the_supplied_complement(self):
+        # the spectrum_from_tile twin: the store hit for A2 must refuse the
+        # complement of A1 by its own tiling check
+        q = GroupParams(3, 1)
+        A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
+        A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
+        profile = zero_set(A1)
+        T = find_complement_bruteforce(A1)
+        assert not verify_tiling_pair(A2, T)
+        spectrum_from_tile(A1, T, profile=profile)
+        with pytest.raises(InvalidInputError) as exc_info:
+            spectrum_from_tile(A2, T, profile=profile)
+        assert len(profile._built) == 1
+        assert str(exc_info.value) == "supplied complement fails the tiling-pair check"
+
+    def test_above_the_sweep_cap_each_call_checks_directly(self, monkeypatch):
+        # no translate sums are built above order 32, so a store hit checks
+        # its A by the direct tiling check
+        from spectile import oracle
+
+        q = GroupParams(2, 5)
+        A = make_set(q, [(0, 0), (1, 0)])
+        T = make_set(q, [(0, y) for y in range(q.pn)])
+        profile = zero_set(A)
+        calls = []
+        real = oracle.tiling_pair_violation
+        monkeypatch.setattr(
+            oracle, "tiling_pair_violation", lambda A, T: calls.append(A.mask) or real(A, T)
+        )
+        for _ in range(2):
+            spectrum_from_tile(A, T, profile=profile)
+        assert calls == [A.mask, A.mask]
+        assert [sums for *_, sums in profile._built.values()] == [None]
+
+    def test_one_direct_tiling_check_per_stored_partner(self, monkeypatch):
+        from spectile import enumerate_and_check, oracle
+
+        calls = []
+        real = oracle.tiling_pair_violation
+
+        def counting(A, T):
+            calls.append(A.mask)
+            return real(A, T)
+
+        monkeypatch.setattr(oracle, "tiling_pair_violation", counting)
+        report = enumerate_and_check(GroupParams(5, 1), [5], shards=1)
+        assert report.mismatches == []
+        assert report.stats["construction"]["lookups"] == 34260
+        assert 0 < len(calls) <= report.stats["construction"]["misses"]
+
+
+class TestTranslateSumCheck:
+    # the stored check, |A||T| = |G| and then the sum of the translates
+    # T + a equal to the full mask, against verify_tiling_pair: every set of
+    # the matching size against each complement _find_cover returns for one
+    # set per (zero profile, size), as the sweep's memo holds them
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3)])
+    def test_agrees_with_the_direct_check(self, p, n):
+        from spectile.oracle import _find_cover, _k_subsets
+
+        q = GroupParams(p, n)
+        t = group_tables(q)
+        firsts = {}
+        for k in range(1, q.order + 1):
+            if q.order % k == 0:
+                for m in _k_subsets(q.order, k, 0, 1):
+                    firsts.setdefault(t.profile_key(m) | k, m)
+        complements = {_find_cover(t, m) for m in firsts.values()} - {None}
+        unsized = 0
+        for c in complements:
+            T, sums = GroupSet(q, c), t.translate_sums(c)
+            size = q.order // T.cardinality
+            for m in _k_subsets(q.order, size, 0, 1):
+                A = GroupSet(q, m)
+                assert constructions._tiles(A, T, sums) == verify_tiling_pair(A, T)
+            # one element more: the sum reaches the full mask on some of these
+            # pairs, so only the size test refuses them
+            for m in _k_subsets(q.order, size + 1, 0, 1) if size < q.order else ():
+                A = GroupSet(q, m)
+                if sum(map(list.__getitem__, sums, m.to_bytes(len(sums), "little"))) == t.full_mask:
+                    unsized += 1
+                    assert not constructions._tiles(A, T, sums)
+                    assert not verify_tiling_pair(A, T)
+        assert (unsized > 0) == (q.order > 4)
 
 
 class TestConstructionDigest:

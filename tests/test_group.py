@@ -58,11 +58,13 @@ class TestGroupParams:
         assert q.order == 27
 
     def test_cached_orders_keep_value_semantics(self):
-        # pn and order are cached on the instance; equality, hashing,
+        # pn and order are slots set on admission; equality, hashing, repr,
         # pickling and the group_tables cache still see only (p, n)
         fresh, used = GroupParams(3, 2), GroupParams(3, 2)
         assert used.order == 27 and used.pn == 9
-        assert fresh == used and hash(fresh) == hash(used)
+        assert fresh == used and hash(fresh) == hash(used) == hash((3, 2))
+        assert repr(used) == "GroupParams(p=3, n=2)"
+        assert not hasattr(used, "__dict__")
         clone = pickle.loads(pickle.dumps(used))
         assert clone == fresh and clone.order == 27 and clone.pn == 9
         assert group_tables(fresh) is group_tables(used) is group_tables(clone)
@@ -294,6 +296,23 @@ class TestGroupTables:
         for a in q.units():
             expected = {e.scale(a).index for e in A.elements()}
             assert set(GroupSet(q, t.scale_mask(A.mask, a)).indices()) == expected
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (3, 1), (2, 3), (5, 1)])
+    def test_translate_sums_add_the_translates(self, p, n):
+        q = GroupParams(p, n)
+        t = group_tables(q)
+        rng = random.Random(11)
+        for _ in range(20):
+            m, A = rng.getrandbits(q.order), rng.getrandbits(q.order)
+            sums = t.translate_sums(m)
+            expected = sum(t.translate_mask(m, a) for a in GroupSet(q, A).indices())
+            assert sum(table[b] for table, b in zip(sums, A.to_bytes(len(sums), "little"))) == expected
+
+    def test_translate_sums_refused_above_the_sweep_cap(self):
+        with pytest.raises(
+            CapacityError, match="^translate sum tables are only built up to order 32; got 64$"
+        ):
+            group_tables(GroupParams(2, 5)).translate_sums(1)
 
     def test_profile_key_refused_above_fiber_limit(self):
         # only sweeps use the fiber tables; single-set paths count residues

@@ -548,10 +548,13 @@ class TestEnumerate:
     def test_memo_stats(self):
         report = enumerate_and_check(GroupParams(5, 1), size_filter=[5], shards=1)
         # one complement search per memo entry whose size divides |G|: all
-        # of them here
+        # of them here.  A round trip per tile and per spectral set, and one
+        # partner built per construction for each of the 27 entries whose
+        # sets tile
         assert report.stats == {
             "spectral": {"lookups": 53130, "misses": 28},
             "tile": {"lookups": 53130, "misses": report.stats["spectral"]["misses"]},
+            "construction": {"lookups": 2 * 17130, "misses": 2 * 27},
         }
         assert report.tiles == report.spectral == 17130
         assert report.mismatches == []
@@ -566,12 +569,14 @@ class TestEnumerate:
         # each subset is looked up in exactly one shard; misses may repeat
         r1 = enumerate_and_check(P22, shards=1)
         r3 = enumerate_and_check(P22, shards=3)
-        for memo in ("spectral", "tile"):
+        for memo in ("spectral", "tile", "construction"):
             assert r1.stats[memo]["lookups"] == r3.stats[memo]["lookups"]
             assert r1.stats[memo]["misses"] <= r3.stats[memo]["misses"]
-        # nonempty subsets, and those whose size divides the order
+        # nonempty subsets, those whose size divides the order, and the
+        # round trips: one per tile and one per spectral set
         assert r1.stats["spectral"]["lookups"] == 255
         assert r1.stats["tile"]["lookups"] == 8 + 70 + 28 + 1
+        assert r1.stats["construction"]["lookups"] == r1.tiles + r1.spectral
 
     def test_shard_count_capacity(self, monkeypatch):
         def no_pool(*args, **kwargs):
