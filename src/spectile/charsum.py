@@ -18,7 +18,7 @@ touches floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
@@ -156,20 +156,12 @@ class ZeroProfile:
     Bit rid of bits is set iff the class with rep id rid lies in the zero
     set: bit 0 is (1, 0), and the p bits from 1 + i*p are the classes
     (c, p^i) of level i, c ascending.  Every view is derived from bits; I
-    (the levels i with (0, p^i) present) is cached on first use, since the
-    sweep hands one profile to many constructions.
-
-    For the same reason the constructions keep in _built what they derive
-    from a profile, |A| and a supplied partner alone: the built partner,
-    its trace and the spectral-pair checks, once per (construction, |A|,
-    partner), with the translate sums of the T each later A is checked
-    against.  It is filled only when a caller passes the profile in, and
-    it takes no part in equality, hashing or repr.
+    (the levels i with (0, p^i) present) is cached on first use, since a
+    construction's case split reads it more than once.
     """
 
     params: GroupParams
     bits: int
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rep_ids(self) -> list[int]:
         """The rep ids in the zero set, ascending: (1,0) first, then (c, p^i)

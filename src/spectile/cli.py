@@ -184,15 +184,12 @@ def _cmd_enumerate(args) -> int:
         print(f"mismatches: {len(report.mismatches)}")
         for mm in report.mismatches:
             print(f"  {mm.kind} size={mm.size}: {mm.detail}")
-        if args.verbose:
-            print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
-            for name, memo in report.stats.items():
-                print(
-                    f"{name}-memo: lookups={memo['lookups']} misses={memo['misses']}",
-                    file=sys.stderr,
-                )
-            for i, (examined, seconds) in enumerate(report.shard_stats):
-                print(f"shard {i}: subsets={examined} seconds={seconds:.3f}", file=sys.stderr)
+    if args.verbose:
+        print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
+        for name, memo in report.stats.items():
+            print(f"{name}-memo: lookups={memo['lookups']} misses={memo['misses']}", file=sys.stderr)
+        for i, (examined, seconds) in enumerate(report.shard_stats):
+            print(f"shard {i}: subsets={examined} seconds={seconds:.3f}", file=sys.stderr)
     return EXIT_OK if not report.mismatches else EXIT_FAILURE
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .charsum import ZeroProfile, _coordinates, zero_set
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     MissingPartnerError,
     NonSpectralSizeError,
 )
-from .group import SWEEP_ORDER_LIMIT, GroupParams, GroupSet, _require_same_params, group_tables
+from .group import GroupParams, GroupSet, _require_same_params, group_tables
 from .oracle import (
     ORACLE_ORDER_LIMIT,
     _first_pair,
@@ -38,8 +37,7 @@ from .structure import classify_size
 class CaseTrace:
     """Which theorem branch produced a construction, plus its witnesses.
 
-    Frozen, and every witness value is an int or a tuple of witness values,
-    so two traces can share their values; each holds its own witnesses dict.
+    Frozen, and every witness value is an int or a tuple of witness values.
     """
 
     theorem: str
@@ -74,65 +72,6 @@ def _verify_spectrum(
     return witnesses
 
 
-def _tiles(A: GroupSet, T: GroupSet, sums: list[list[int]] | None) -> bool:
-    """verify_tiling_pair(A, T), read from sums = translate_sums(T.mask)
-    when it is given: the size test first, then one lookup per byte of A
-    for the sum of the translates T + a, which is the full mask exactly
-    when they are disjoint."""
-    if sums is None:
-        return verify_tiling_pair(A, T)
-    order = A.params.order
-    return A.cardinality * T.cardinality == order and sum(
-        map(list.__getitem__, sums, A.mask.to_bytes(len(sums), "little"))
-    ) == (1 << order) - 1
-
-
-@lru_cache(maxsize=64)
-def _translate_sums(params: GroupParams, mask: int) -> list[list[int]]:
-    """translate_sums(mask), one copy shared by every stored entry that
-    checks against the same T: a sweep's entries use few distinct T."""
-    return group_tables(params).translate_sums(mask)
-
-
-def _stored(
-    build, A: GroupSet, partner: GroupSet | None, profile: ZeroProfile | None
-) -> tuple | None:
-    """The (X, trace, sums) that _store kept for build, |A| and partner in
-    profile's store, or None."""
-    if profile is None or partner is None:
-        return None
-    return profile._built.get((build, A.cardinality, partner.mask))
-
-
-def _store(
-    build, A: GroupSet, partner: GroupSet | None, profile: ZeroProfile | None,
-    built: tuple[GroupSet, CaseTrace], T: GroupSet,
-) -> tuple[GroupSet, CaseTrace]:
-    """Return built = build(A, partner, profile), which passed A's
-    tiling-pair check against T, and keep it when profile and partner are
-    both given.
-
-    build reads A only through |A| and, when profile or partner is None,
-    to compute or search what is missing; T depends only on the partner or
-    the built X.  So the store keeps X, its trace and, up to
-    SWEEP_ORDER_LIMIT, the translate sums of T under (build, |A|, partner
-    mask): a profile shared by many sets of one size builds each partner
-    and its sums once, and checks each later set with _tiles.  Every call
-    gets the stored partner and trace values, which are immutable, in a
-    trace of its own with a fresh witnesses dict.
-    """
-    if profile is None or partner is None:
-        return built
-    X, trace = built
-    sums = _translate_sums(A.params, T.mask) if A.params.order <= SWEEP_ORDER_LIMIT else None
-    profile._built[build, A.cardinality, partner.mask] = (X, trace, sums)
-    return _served(X, trace)
-
-
-def _served(X: GroupSet, trace: CaseTrace) -> tuple[GroupSet, CaseTrace]:
-    return X, CaseTrace(trace.theorem, trace.case, dict(trace.witnesses))
-
-
 # ---------------------------------------------------------------------------
 # Tile -> spectrum
 
@@ -143,39 +82,20 @@ def spectrum_from_tile(
     """Build a spectrum B for a tile A, with |B| = |A| and all nonzero
     differences of B in the zero set of A.
 
-    A supplied complement T is verified and then drives the case split when
-    |A| = p^t has only t-1 axis-zero levels; without one, a complement is
-    searched when the group order is within the oracle cap.  A caller that
-    already holds zero_set(A) passes it as profile; it is trusted, not
-    recomputed.  Otherwise it is computed once here and shared by the case
-    split and the verification.
-
-    Past the tiling-pair check of T, B and its trace depend only on |A|,
-    zero_set(A) and T, and so does the spectral-pair check of B.  With both
-    a profile and T passed, that part runs once per (|A|, T) and is stored
-    on the profile with the translate sums of T (_store); a later call with
-    the same profile checks its own A against T by those sums, one lookup
-    per byte of A, and reuses the rest.  The first call checks T directly,
-    before the build.  Each call returns its own trace.
+    A supplied complement T is checked first, then drives the case split
+    when |A| = p^t has only t-1 axis-zero levels; without one, a
+    complement is searched when the group order is within the oracle cap.
+    The built B is checked before it is returned.  A caller that already
+    holds zero_set(A) passes it as profile; it is trusted, not recomputed.
+    Otherwise it is computed once here and shared by the case split and
+    the check of B.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not a tile")
-    if T is None:
-        return _tile_spectrum(A, T, profile)
-    _require_same_params(A.params, T.params)
-    entry = _stored(_tile_spectrum, A, T, profile)
-    if not _tiles(A, T, None if entry is None else entry[2]):
-        raise InvalidInputError("supplied complement fails the tiling-pair check")
-    if entry is None:
-        return _store(_tile_spectrum, A, T, profile, _tile_spectrum(A, T, profile), T)
-    B, trace, _ = entry
-    return _served(B, trace)
-
-
-def _tile_spectrum(
-    A: GroupSet, T: GroupSet | None, profile: ZeroProfile | None
-) -> tuple[GroupSet, CaseTrace]:
-    """spectrum_from_tile past the check of a supplied T."""
+    if T is not None:
+        _require_same_params(A.params, T.params)
+        if not verify_tiling_pair(A, T):
+            raise InvalidInputError("supplied complement fails the tiling-pair check")
     q = A.params
     k = A.cardinality
     if k == 1:
@@ -329,51 +249,34 @@ def complement_from_spectrum(
 ) -> tuple[GroupSet, CaseTrace]:
     """Build a tiling complement T for a spectral set A, |A| * |T| = |G|.
 
-    A supplied spectrum B is verified at any size, refused if it fails, and
-    consulted where the case split needs its axis-zero levels or a
-    difference witness; without one, a spectrum is searched when the group
-    order is within the oracle cap.  A caller that already holds
-    zero_set(A) passes it as profile; it is trusted, not recomputed.
-    Otherwise it is computed at most once here.
-
-    Only the tiling-pair check of the built T reads A beyond |A|: the
-    spectral-pair check of B, the case split and T itself depend only on
-    |A|, zero_set(A) and B.  With both a profile and B passed, that part
-    runs once per (|A|, B), is checked directly against the first A, and
-    is stored on the profile with the translate sums of T (_store); a
-    later call with the same profile checks its own A against T by those
-    sums, one lookup per byte of A, and reuses the rest.  Each call returns
-    its own trace.
+    A supplied spectrum B is checked first, at any size, and consulted
+    where the case split needs its axis-zero levels or a difference
+    witness; without one, a spectrum is searched when the group order is
+    within the oracle cap.  The built T is checked before it is returned.
+    A caller that already holds zero_set(A) passes it as profile; it is
+    trusted, not recomputed.  Otherwise it is computed at most once here.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")
     if B is not None:
         _require_same_params(A.params, B.params)
-    entry = _stored(_spectral_complement, A, B, profile)
-    if entry is None:
-        T, trace = _spectral_complement(A, B, profile)
-        sums = None
-    else:
-        T, trace, sums = entry
-    if not _tiles(A, T, sums):
+        if profile is None:
+            profile = zero_set(A)
+        if _spectral_violation(A, B, profile) is not None:
+            raise InvalidInputError("supplied spectrum fails the spectral-pair check")
+    T, trace = _spectral_complement(A, B, profile)
+    if not verify_tiling_pair(A, T):
         raise InvalidInputError(
             f"{trace.theorem} {trace.case}: constructed complement failed verification; "
             "the input is not the spectral set it was claimed to be"
         )
-    if entry is None:
-        return _store(_spectral_complement, A, B, profile, (T, trace), T)
-    return _served(T, trace)
+    return T, trace
 
 
 def _spectral_complement(
     A: GroupSet, B: GroupSet | None, profile: ZeroProfile | None
 ) -> tuple[GroupSet, CaseTrace]:
-    """complement_from_spectrum short of the tiling-pair check of T."""
-    if B is not None:
-        if profile is None:
-            profile = zero_set(A)
-        if _spectral_violation(A, B, profile) is not None:
-            raise InvalidInputError("supplied spectrum fails the spectral-pair check")
+    """complement_from_spectrum's build, between the two checks."""
     q = A.params
     k = A.cardinality
     if k == 1:

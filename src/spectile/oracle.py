@@ -21,14 +21,16 @@ Z(T) together hold every nonzero character) and every check that
 depends only on them: divisibility, size obstruction, pigeonhole and
 tile against spectral are decided once per entry and reported on every
 subset it serves.  The key is a guard mask, one bit per class outside
-the zero set, from per-byte tables and no loop over the classes; the
-zero-cover check is one AND of two keys.  The constructions keep the
-partner each entry builds on its profile, with byte tables of the
-complement's translates, so each positive's tiling-pair checks are one
-table sum.  The canonical filter is canonicalize's orbit scan, stopped
-at the first smaller image: two ANDs reject a set with no element on
-y = 0 or none on x = 0, and the scan sums each unit multiple from
-per-byte tables and rotates it through the translations by masked
+the zero set, from per-byte tables and no loop over the classes.  Each
+construction runs once per entry, since it reads a set only through
+|A|, the zero set and the partner besides the set's own tiling-pair
+check; the entry then keeps byte tables of the translates of the T that
+check used and the built complement's key, so each later positive's
+tiling-pair checks are one table sum each and its zero-cover check one
+AND of two keys.  The canonical filter is canonicalize's orbit scan,
+stopped at the first smaller image: two ANDs reject a set with no
+element on y = 0 or none on x = 0, and the scan sums each unit multiple
+from per-byte tables and rotates it through the translations by masked
 shifts.  Work is split into shards whose merge is independent of the
 shard count, so reports are byte-identical however the sweep is
 partitioned: the colex ranks of each size are cut into blocks of
@@ -332,8 +334,9 @@ def find_complement_bruteforce(A: GroupSet) -> GroupSet | None:
 # Canonical forms under translations and unit scalings
 
 
-def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
-    """Smallest bitmap in the orbit {a*mask + g : a unit, g in G}.
+def _orbit_min(t: GroupTables, orbit: tuple, mask: int, first_below: bool) -> int:
+    """Smallest bitmap in the orbit {a*mask + g : a unit, g in G}, read
+    from orbit = t.orbit_tables, which a sweep reads once, not per mask.
 
     With first_below the scan stops at the first image below mask and
     returns it, so the result equals mask exactly when mask is the orbit
@@ -349,7 +352,7 @@ def _orbit_min(t: GroupTables, mask: int, first_below: bool) -> int:
     offset one right shift cut to the order.  Only the minimum or the
     verdict is returned, so the scan order is free.
     """
-    x0, y0, scalings, y_rotations, x_shifts = t.orbit_tables
+    x0, y0, scalings, y_rotations, x_shifts = orbit
     if first_below and mask:
         if not mask & y0:
             return mask >> 1
@@ -384,7 +387,8 @@ def canonicalize(A: GroupSet) -> GroupSet:
         raise CapacityError(
             f"canonicalize capped at order {SWEEP_ORDER_LIMIT}; got {A.params.order}"
         )
-    return GroupSet(A.params, _orbit_min(group_tables(A.params), A.mask, False))
+    t = group_tables(A.params)
+    return GroupSet(A.params, _orbit_min(t, t.orbit_tables, A.mask, False))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +413,9 @@ class EnumerationReport:
     the canonical serialization so reports compare byte-for-byte across
     shard counts.  stats maps each verdict ("spectral", "tile") to its memo
     lookups and misses (a tile miss is one complement search), and
-    "construction" to the round trips and the partners the constructions
-    built and stored for them, summed over shards; shard_stats holds each
-    shard's (subsets examined, seconds), in shard order.
+    "construction" to the round trips and the construction calls, the
+    ones a memo entry could not serve, summed over shards; shard_stats
+    holds each shard's (subsets examined, seconds), in shard order.
     """
 
     params: GroupParams
@@ -497,36 +501,62 @@ def _run_shard(args: tuple) -> tuple:
     t = group_tables(params)
     order = t.order
     pn = t.pn
+    full = t.full_mask
+    nbytes = -(-order // 8)
+    orbit = t.orbit_tables if use_canonical else None
     # The memo maps g | k, for g the guard key of a set (its low 7 bits
     # clear) and k <= 32 its size, to both verdicts: a complement of one
     # set with that zero profile and size is one of every such set.  An
     # entry holds the profile, the spectrum and the complement (None if
-    # none) and the (kind, detail) of every check failing on each set it
-    # serves.  A miss adds one entry: the spectral misses are len(memo).
-    # The constructions store what they build on the entry's profile.
-    memo: dict[int, tuple[ZeroProfile, GroupSet | None, GroupSet | None, tuple]] = {}
+    # none), the (kind, detail) of every check failing on each set it
+    # serves and, per construction, what its round trips keep.  A miss adds
+    # one entry: the spectral misses are len(memo).
+    memo: dict[int, list] = {}
+    # translate sums per complement mask, one table set for every entry
+    # whose sets are checked against that complement
+    sums_of: dict[int, list[list[int]]] = {}
 
     examined = 0
     orbits = 0
     empties = 0
     tile_lookups = 0
     covers = 0  # _find_cover calls, the tile misses
+    calls = 0  # construction calls, the construction misses
     tiles = 0
     spectral = 0
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
 
-    def round_trip(name, A, k, partner, profile):
+    def round_trip(name, mask, k, partner, profile, kept):
+        # A construction reads a set A only through |A|, the profile and
+        # the partner, which the sets of an entry share, and through A's
+        # own tiling-pair check against a T: the supplied complement, or
+        # the one built.  So once a set of the entry passes, kept holds the
+        # translate sums and the guard key of that T, and a later set costs
+        # one table sum (its size is the entry's, so the sum decides).
+        if kept is not None and sum(
+            map(list.__getitem__, kept[0], mask.to_bytes(nbytes, "little"))
+        ) == full:
+            return kept
         # the construction is looked up by name on each call, so a wrapper
-        # put on the module attribute sees every call
+        # put on the module attribute sees each entry's first call and
+        # every failing set
+        nonlocal calls
+        calls += 1
         try:
-            built, _ = getattr(constructions, name)(A, partner, profile=profile)
+            built, _ = getattr(constructions, name)(
+                GroupSet(params, mask), partner, profile=profile
+            )
         except Exception as exc:  # any failure here is a finding
             mismatches.append(
-                Mismatch("construction", A.mask, k, f"{name}: {type(exc).__name__}: {exc}")
+                Mismatch("construction", mask, k, f"{name}: {type(exc).__name__}: {exc}")
             )
             return None
-        return built
+        tmask = (partner if name == "spectrum_from_tile" else built).mask
+        sums = sums_of.get(tmask)
+        if sums is None:
+            sums = sums_of[tmask] = t.translate_sums(tmask)
+        return sums, profile_key(tmask)
 
     first = 0  # sweep-wide number of the current size's first block
     for k in sizes:
@@ -536,7 +566,7 @@ def _run_shard(args: tuple) -> tuple:
         for mask in _k_subsets(order, k, (shard_i - first) % shard_n, shard_n):
             examined += 1
             if use_canonical:
-                if _orbit_min(t, mask, True) != mask:
+                if _orbit_min(t, orbit, mask, True) != mask:
                     continue
                 orbits += 1
             if k == 0:
@@ -560,28 +590,29 @@ def _run_shard(args: tuple) -> tuple:
                 tl, sp = tmask != 0, bmask != 0
                 if tl != sp:
                     failed.append(("theorem", f"tile={tl} but spectral={sp}"))
-                entry = memo[g | k] = (
+                entry = memo[g | k] = [
                     profile,
                     GroupSet(params, bmask) if bmask else None,
                     GroupSet(params, tmask) if tmask else None,
                     tuple(failed),
-                )
-            profile, B, T, failed = entry
+                    None,  # kept by spectrum_from_tile
+                    None,  # kept by complement_from_spectrum
+                ]
+            profile, B, T, failed, _, _ = entry
             for kind, detail in failed:
                 mismatches.append(Mismatch(kind, mask, k, detail))
-            if T is None and B is None:
-                continue
-            A = GroupSet(params, mask)
             if T is not None:
                 tiles += 1
-                round_trip("spectrum_from_tile", A, k, T, profile)
+                kept = round_trip("spectrum_from_tile", mask, k, T, profile, entry[4])
+                entry[4] = kept or entry[4]
             if B is None:
                 continue
             spectral += 1
-            T2 = round_trip("complement_from_spectrum", A, k, B, profile)
-            if T2 is None:
+            kept = round_trip("complement_from_spectrum", mask, k, B, profile, entry[5])
+            if kept is None:
                 continue
-            if g & profile_key(T2.mask):  # a class outside both zero sets
+            entry[5] = kept
+            if g & kept[1]:  # a class outside both zero sets
                 mismatches.append(
                     Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")
                 )
@@ -590,8 +621,7 @@ def _run_shard(args: tuple) -> tuple:
         first += -(-comb(order, k) // _SHARD_BLOCK)
 
     spectral_lookups = (orbits if use_canonical else examined) - empties
-    built = sum(len(entry[0]._built) for entry in memo.values())
-    memo_stats = (spectral_lookups, len(memo), tile_lookups, covers, tiles + spectral, built)
+    memo_stats = (spectral_lookups, len(memo), tile_lookups, covers, tiles + spectral, calls)
     return (
         examined, orbits if use_canonical else None, tiles, spectral, mismatches, memo_stats,
         time.perf_counter() - start,
@@ -612,13 +642,15 @@ def enumerate_and_check(
     sizes in turn are dealt round-robin to the shards.  Per subset: both
     oracle verdicts, the divisibility check on the zero profile, the
     cardinality obstruction, the pigeonhole bound (these three decided
-    once per zero profile and size), and a full construction round trip
-    on every tile and every spectral set.  Counts merge by
-    addition and mismatches sort by (mask, kind), so the report does not
-    depend on the shard decomposition.  Groups above order
-    SWEEP_ORDER_LIMIT, sweeps of more than ENUM_SUBSET_BUDGET subsets and
-    more than ENUM_SHARD_LIMIT shards are refused with CapacityError, an
-    empty size_filter with ParameterError.
+    once per zero profile and size), and a construction round trip on
+    every tile and every spectral set: each construction is called on a
+    memo entry's first set and on any set whose table sum against the
+    partner it built fails.  Counts merge by addition and mismatches sort
+    by (mask, kind), so the report does not depend on the shard
+    decomposition.  Groups above order SWEEP_ORDER_LIMIT, sweeps of more
+    than ENUM_SUBSET_BUDGET subsets and more than ENUM_SHARD_LIMIT shards
+    are refused with CapacityError, an empty size_filter with
+    ParameterError.
     """
     start = time.perf_counter()
     if shards < 1:

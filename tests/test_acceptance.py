@@ -97,9 +97,11 @@ def test_criterion_2_size_filtered_z3z9(criterion2_reports):
 
 
 def test_criterion_3_construction_soundness(criterion1_reports, criterion2_reports):
-    # every tile in criteria 1-2 went through spectrum_from_tile and every
-    # spectral set through complement_from_spectrum inside the sweeps; any
-    # verification or zero-cover failure would appear as a mismatch
+    # every tile in criteria 1-2 got a spectrum_from_tile round trip and
+    # every spectral set a complement_from_spectrum one inside the sweeps:
+    # a call on each memo entry's first set, then one table sum against the
+    # partner it built per later set; any verification or zero-cover
+    # failure would appear as a mismatch
     reports = list(criterion1_reports.values()) + list(criterion2_reports)
     bad = [
         mm

@@ -90,6 +90,13 @@ class TestZeroSet:
         assert prof.I == frozenset({1})
         assert prof.has_unit_axis is False
 
+    def test_profile_holds_only_its_bits(self):
+        # a profile is a value: nothing a construction or a sweep derives
+        # from it is kept on it
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ZeroProfile)] == ["params", "bits"]
+
     def test_full_group_has_all_classes(self, small_params):
         q = small_params
         prof = zero_set(GroupSet.full(q))

@@ -340,6 +340,20 @@ class TestEnumerateCommand:
         # one round trip per tile and per spectral set: 75 of each
         assert err[3].startswith("construction-memo: lookups=150 misses=")
 
+    def test_verbose_with_json_keeps_stdout_canonical(self, capsys):
+        argv = ["enumerate", "--p", "2", "--n", "2", "--shards", "2", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(argv + ["--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == plain.out
+        err = verbose.err.splitlines()
+        assert err[0].startswith("wall-time: ")
+        assert [line.split(":")[0] for line in err[1:]] == [
+            "spectral-memo", "tile-memo", "construction-memo", "shard 0", "shard 1"
+        ]
+
     def test_verbose_prints_one_line_per_shard(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = ["enumerate", "--p", "2", "--n", "2", "--sizes", "0,4", "--shards", "3",

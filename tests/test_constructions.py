@@ -375,9 +375,9 @@ class TestProfileReuse:
         return calls
 
     def test_sweep_profiles_only_partners(self, monkeypatch):
-        # the sweep hands each subset's profile to both constructions, so
-        # zero_set runs only on the partner a case split consults, and only
-        # once per (construction, profile, |A|, partner) the profile stores
+        # the sweep hands each entry's profile to both constructions and
+        # calls each once per entry, so zero_set runs only on the partner a
+        # case split consults, once per (construction, profile, |A|, partner)
         from spectile import enumerate_and_check
 
         calls = self._count_zero_sets(monkeypatch)
@@ -391,7 +391,7 @@ class TestProfileReuse:
             (name, profile.key(), A.cardinality, partner.mask)
             for name, A, partner, profile, _ in firings
         }
-        assert len(firings) > len(expected) > 0
+        assert len(firings) == len(expected) > 0
         assert len(calls) == len(expected)
         assert {T.mask for T in calls} == {key[3] for key in expected}
 
@@ -418,9 +418,9 @@ class TestProfileReuse:
 
 
 class TestStoredPartners:
-    # a passed profile keeps what each construction derives from |A|, the
-    # profile and the partner, with the translate sums of the T that A is
-    # checked against; each call still checks its own A by those sums
+    # the sweep keeps, per memo entry and construction, the translate sums
+    # and guard key of the T its first passing set was checked against;
+    # a construction itself keeps nothing between calls
 
     A = GroupSet.from_indices(P23, [0, 1, 2, 9])  # T2S-pt Case2, S2T-ps Case3
 
@@ -445,8 +445,8 @@ class TestStoredPartners:
                 isinstance(value, tuple) and all(immutable(v) for v in value)
             )
 
-        # every call shares the stored trace's values, so each must be
-        # immutable; only the witnesses dict is a call's own
+        # a trace's fields are frozen and its witness values immutable;
+        # only the witnesses dict is a call's own
         _, calls = _record_branches(monkeypatch)
         for q in TestBranchCoverage.SWEEPS:
             assert enumerate_and_check(q, shards=1).mismatches == []
@@ -464,40 +464,6 @@ class TestStoredPartners:
             first.witnesses["extra"] = 1
             assert fn(A, partner, profile=profile)[1] == clean
 
-    def test_nothing_outlives_the_profile(self):
-        import gc
-        import weakref
-
-        A, T, B = self._pairs()
-        profile = zero_set(A)
-        spectrum_from_tile(A, T, profile=profile)
-        complement_from_spectrum(A, B, profile=profile)
-        assert len(profile._built) == 2
-        ref = weakref.ref(profile)
-        del profile
-        gc.collect()
-        assert ref() is None
-
-    def test_stored_only_with_a_profile_and_a_partner(self, monkeypatch):
-        A, T, B = self._pairs()
-        profile = zero_set(A)
-        spectrum_from_tile(A, T)
-        complement_from_spectrum(A, B)
-        spectrum_from_tile(A, profile=profile)  # T searched from A
-        complement_from_spectrum(A, profile=profile)  # B searched from A
-        assert profile._built == {}
-        # zero_set(A) computed inside a call is not where anything is kept
-        created = []
-
-        def recording(S):
-            created.append(zero_set(S))
-            return created[-1]
-
-        monkeypatch.setattr(constructions, "zero_set", recording)
-        spectrum_from_tile(A, T)
-        complement_from_spectrum(A, B)
-        assert created and all(z._built == {} for z in created)
-
     def test_a_failing_build_raises_on_every_call(self, monkeypatch):
         A, T, B = self._pairs()
         profile = zero_set(A)
@@ -505,12 +471,11 @@ class TestStoredPartners:
         for _ in range(2):
             with pytest.raises(ZeroDivisionError):
                 complement_from_spectrum(A, B, profile=profile)
-        assert profile._built == {}
 
     def test_each_set_still_checks_its_own_tiling(self):
         # the profile of A1, passed untruthfully for A2 of the same size: the
-        # complement stored for A1 is reused and then refused, since A2's own
-        # tiling check still runs
+        # complement built for A1 is built again and then refused, since
+        # A2's own tiling check runs
         q = GroupParams(3, 1)
         A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
         A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
@@ -520,15 +485,14 @@ class TestStoredPartners:
         assert verify_tiling_pair(A1, T) and not verify_tiling_pair(A2, T)
         with pytest.raises(InvalidInputError) as exc_info:
             complement_from_spectrum(A2, B, profile=profile)
-        assert len(profile._built) == 1
         assert str(exc_info.value) == (
             "S2T-p Case2: constructed complement failed verification; "
             "the input is not the spectral set it was claimed to be"
         )
 
     def test_each_set_still_checks_the_supplied_complement(self):
-        # the spectrum_from_tile twin: the store hit for A2 must refuse the
-        # complement of A1 by its own tiling check
+        # the spectrum_from_tile twin: A2 must refuse the complement of A1
+        # by its own tiling check
         q = GroupParams(3, 1)
         A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
         A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
@@ -538,27 +502,7 @@ class TestStoredPartners:
         spectrum_from_tile(A1, T, profile=profile)
         with pytest.raises(InvalidInputError) as exc_info:
             spectrum_from_tile(A2, T, profile=profile)
-        assert len(profile._built) == 1
         assert str(exc_info.value) == "supplied complement fails the tiling-pair check"
-
-    def test_above_the_sweep_cap_each_call_checks_directly(self, monkeypatch):
-        # no translate sums are built above order 32, so a store hit checks
-        # its A by the direct tiling check
-        from spectile import oracle
-
-        q = GroupParams(2, 5)
-        A = make_set(q, [(0, 0), (1, 0)])
-        T = make_set(q, [(0, y) for y in range(q.pn)])
-        profile = zero_set(A)
-        calls = []
-        real = oracle.tiling_pair_violation
-        monkeypatch.setattr(
-            oracle, "tiling_pair_violation", lambda A, T: calls.append(A.mask) or real(A, T)
-        )
-        for _ in range(2):
-            spectrum_from_tile(A, T, profile=profile)
-        assert calls == [A.mask, A.mask]
-        assert [sums for *_, sums in profile._built.values()] == [None]
 
     def test_one_direct_tiling_check_per_stored_partner(self, monkeypatch):
         from spectile import enumerate_and_check, oracle
@@ -576,12 +520,23 @@ class TestStoredPartners:
         assert report.stats["construction"]["lookups"] == 34260
         assert 0 < len(calls) <= report.stats["construction"]["misses"]
 
+    def test_one_construction_call_per_entry(self, monkeypatch):
+        # a clean sweep calls each construction once per memo entry whose
+        # sets it serves; every later set is one table sum in the sweep
+        from spectile import enumerate_and_check
+
+        fired, _ = _record_branches(monkeypatch)
+        report = enumerate_and_check(GroupParams(5, 1), [5], shards=1)
+        assert report.mismatches == []
+        assert len(fired) == report.stats["construction"]["misses"] == 54
+
 
 class TestTranslateSumCheck:
-    # the stored check, |A||T| = |G| and then the sum of the translates
-    # T + a equal to the full mask, against verify_tiling_pair: every set of
-    # the matching size against each complement _find_cover returns for one
-    # set per (zero profile, size), as the sweep's memo holds them
+    # the rule the sweep's round trips rest on, |A||T| = |G| and then the
+    # sum of the translates T + a equal to the full mask, against
+    # verify_tiling_pair: every set of the matching size against each
+    # complement _find_cover returns for one set per (zero profile, size),
+    # as the sweep's memo holds them
 
     @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3)])
     def test_agrees_with_the_direct_check(self, p, n):
@@ -599,26 +554,28 @@ class TestTranslateSumCheck:
         for c in complements:
             T, sums = GroupSet(q, c), t.translate_sums(c)
             size = q.order // T.cardinality
+
+            def summed(m):
+                return sum(map(list.__getitem__, sums, m.to_bytes(len(sums), "little")))
+
             for m in _k_subsets(q.order, size, 0, 1):
-                A = GroupSet(q, m)
-                assert constructions._tiles(A, T, sums) == verify_tiling_pair(A, T)
+                assert (summed(m) == t.full_mask) == verify_tiling_pair(GroupSet(q, m), T)
             # one element more: the sum reaches the full mask on some of these
             # pairs, so only the size test refuses them
             for m in _k_subsets(q.order, size + 1, 0, 1) if size < q.order else ():
-                A = GroupSet(q, m)
-                if sum(map(list.__getitem__, sums, m.to_bytes(len(sums), "little"))) == t.full_mask:
+                if summed(m) == t.full_mask:
                     unsized += 1
-                    assert not constructions._tiles(A, T, sums)
-                    assert not verify_tiling_pair(A, T)
+                    assert not verify_tiling_pair(GroupSet(q, m), T)
         assert (unsized > 0) == (q.order > 4)
 
 
 class TestConstructionDigest:
-    # sha256 over every partner and CaseTrace the sweeps below construct,
-    # sorted so that visiting order does not matter; any change to a
-    # partner mask, a branch or a witness fails here.  The second digest
-    # leaves out the supplied partner, which is whatever the sweep's memo
-    # entry holds: one complement per (zero profile, size) on Z5xZ5.
+    # sha256 over the partner and CaseTrace of both constructions on every
+    # positive of the sweeps below, each called directly with the partner
+    # its sweep memo entry holds, sorted so that visiting order does not
+    # matter; any change to a partner mask, a branch or a witness fails
+    # here.  The second digest leaves out the supplied partner: one
+    # complement per (zero profile, size) on Z5xZ5.
     DIGESTS = {
         (2, 3, None): (
             "5119c42eff8ea7411f0b8234b4fb4c64e70bfec5ce1d09a0a3af845a045b5af8",
@@ -636,25 +593,54 @@ class TestConstructionDigest:
         import json
 
         from spectile import enumerate_and_check
+        from spectile.oracle import _find_clique, _find_cover, _k_subsets
 
-        records, built_only = [], []
+        def row(fn, A, partner, built, trace) -> list:
+            return [fn.__name__, A.mask, partner.mask, built.mask,
+                    trace.theorem, trace.case, trace.witnesses]
+
+        def text(row: list) -> str:
+            return json.dumps(row, sort_keys=True)
+
+        q = GroupParams(p, n)
+        t = group_tables(q)
+        # each entry's partners as the one-shard sweep finds them: from the
+        # first set per (zero profile, size) in colex order
+        rows, partners = [], {}
+        for k in sizes or range(1, q.order + 1):
+            for m in _k_subsets(q.order, k, 0, 1):
+                key = t.profile_key(m) | k
+                if key not in partners:
+                    zmask = zero_set(GroupSet(q, m)).zero_mask()
+                    partners[key] = (
+                        (_find_cover(t, m) or 0) if q.order % k == 0 else 0,
+                        _find_clique(t, zmask, k) or 0,
+                    )
+                A = GroupSet(q, m)
+                for fn, pmask in zip((spectrum_from_tile, complement_from_spectrum),
+                                     partners[key]):
+                    if pmask:
+                        partner = GroupSet(q, pmask)
+                        rows.append(row(fn, A, partner, *fn(A, partner)))
+
+        swept = []
 
         def recording(fn):
             def wrapper(A, partner, **kwargs):
                 built, trace = fn(A, partner, **kwargs)
-                row = [fn.__name__, A.mask, partner.mask, built.mask,
-                       trace.theorem, trace.case, trace.witnesses]
-                records.append(json.dumps(row, sort_keys=True))
-                built_only.append(json.dumps(row[:2] + row[3:], sort_keys=True))
+                swept.append(text(row(fn, A, partner, built, trace)))
                 return built, trace
 
             return wrapper
 
         for name in ("spectrum_from_tile", "complement_from_spectrum"):
             monkeypatch.setattr(constructions, name, recording(getattr(constructions, name)))
-        report = enumerate_and_check(GroupParams(p, n), sizes, shards=1)
+        report = enumerate_and_check(q, sizes, shards=1)
         assert report.mismatches == []
-        assert len(records) == report.tiles + report.spectral
+        assert report.stats["construction"]["lookups"] == len(rows)
+        records = [text(r) for r in rows]
+        assert swept and set(swept) <= set(records)
+        built_only = [text(r[:2] + r[3:]) for r in rows]
         digests = tuple(hashlib.sha256("\n".join(sorted(r)).encode()).hexdigest()
                         for r in (records, built_only))
         assert digests == self.DIGESTS[p, n, sizes]

@@ -356,7 +356,7 @@ class TestCanonicalize:
         # the sweep keeps a mask exactly when it is its own canonical form
         t = group_tables(q)
         for mask in range(1 << q.order):
-            kept = oracle._orbit_min(t, mask, True) == mask
+            kept = oracle._orbit_min(t, t.orbit_tables, mask, True) == mask
             assert kept == (canonicalize(GroupSet(q, mask)).mask == mask), mask
 
     @pytest.mark.parametrize(
@@ -386,8 +386,8 @@ class TestCanonicalize:
                 for g in range(order)
             }
             least = min(orbit)
-            assert oracle._orbit_min(t, mask, False) == least, mask
-            below = oracle._orbit_min(t, mask, True)
+            assert oracle._orbit_min(t, t.orbit_tables, mask, False) == least, mask
+            below = oracle._orbit_min(t, t.orbit_tables, mask, True)
             if mask == least:
                 assert below == mask
             else:
