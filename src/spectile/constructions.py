@@ -59,36 +59,21 @@ def _span_digits(params: GroupParams, positions: Iterable[int]) -> list[int]:
     return out
 
 
-def _verify_spectrum(
-    A: GroupSet, B: GroupSet, profile: ZeroProfile, context: str, witnesses: dict
-) -> dict:
-    """Check the constructed spectrum against profile = zero_set(A);
-    returns the witnesses."""
-    if _spectral_violation(A, B, profile) is not None:
-        raise InvalidInputError(
-            f"{context}: constructed spectrum failed verification; "
-            "the input is not the tile it was claimed to be"
-        )
-    return witnesses
-
-
 # ---------------------------------------------------------------------------
 # Tile -> spectrum
 
 
-def spectrum_from_tile(
-    A: GroupSet, T: GroupSet | None = None, *, profile: ZeroProfile | None = None
-) -> tuple[GroupSet, CaseTrace]:
+def spectrum_from_tile(A: GroupSet, T: GroupSet | None = None) -> tuple[GroupSet, CaseTrace]:
     """Build a spectrum B for a tile A, with |B| = |A| and all nonzero
     differences of B in the zero set of A.
 
     A supplied complement T is checked first, then drives the case split
     when |A| = p^t has only t-1 axis-zero levels; without one, a
     complement is searched when the group order is within the oracle cap.
-    The built B is checked before it is returned.  A caller that already
-    holds zero_set(A) passes it as profile; it is trusted, not recomputed.
-    Otherwise it is computed once here and shared by the case split and
-    the check of B.
+    zero_set(A) is computed once, for sizes other than 1 and |G|, and the
+    built B is checked against it before it is returned.  The sizes 1 and
+    |G| return {0} and G unchecked: each is a spectrum of every set of its
+    size.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not a tile")
@@ -102,32 +87,38 @@ def spectrum_from_tile(
         return GroupSet.from_indices(q, [0]), CaseTrace("T2S-trivial", "Trivial")
     if k == q.order:
         return GroupSet.full(q), CaseTrace("T2S-trivial", "Trivial")
-
     sc = classify_size(k, q)
     if sc.kind != "pure_power":
         raise InvalidInputError(
             f"|A| = {k} does not divide the group order; A cannot be a tile"
         )
-    t_exp = sc.s
-    if profile is None:
-        profile = zero_set(A)
+    profile = zero_set(A)
+    B, trace = _tile_spectrum(A, T, sc.s, profile)
+    if _spectral_violation(A, B, profile) is not None:
+        raise InvalidInputError(
+            f"{trace.theorem} {trace.case}: constructed spectrum failed verification; "
+            "the input is not the tile it was claimed to be"
+        )
+    return B, trace
 
+
+def _tile_spectrum(
+    A: GroupSet, T: GroupSet | None, t_exp: int, profile: ZeroProfile
+) -> tuple[GroupSet, CaseTrace]:
+    """spectrum_from_tile's build for |A| = p^t_exp, between the two checks."""
+    q = A.params
     if t_exp == 1:
         # |A| = p: the multiples of any zero form a spectrum.
         if profile.is_empty():
             raise InvalidInputError("zero set is empty; a nontrivial tile cannot have one")
         zx, zy = divmod(min(_lowest_index(q, rid) for rid in profile.rep_ids()), q.pn)
         B = GroupSet.from_elements(q, ((r * zx % q.p, r * zy % q.pn) for r in range(q.p)))
-        return B, CaseTrace(
-            "T2S-p", "Main", _verify_spectrum(A, B, profile, "T2S-p", {"zero": (zx, zy)})
-        )
+        return B, CaseTrace("T2S-p", "Main", {"zero": (zx, zy)})
 
     levels_I = tuple(sorted(profile.I))
     if len(levels_I) == t_exp:
         B = GroupSet.from_elements(q, ((0, y) for y in _span_digits(q, levels_I)))
-        return B, CaseTrace(
-            "T2S-pt", "IFull", _verify_spectrum(A, B, profile, "T2S-pt", {"I": levels_I})
-        )
+        return B, CaseTrace("T2S-pt", "IFull", {"I": levels_I})
     if len(levels_I) != t_exp - 1:
         raise InvalidInputError(
             f"{len(levels_I)} axis-zero levels are incompatible with a tile of size "
@@ -153,17 +144,11 @@ def spectrum_from_tile(
         B = GroupSet.from_elements(
             q, ((s0 * d % q.p, s0 * q.p**b_k + y) for s0 in range(q.p) for y in span)
         )
-        witnesses = {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J}
-        return B, CaseTrace(
-            "T2S-pt", "Case2", _verify_spectrum(A, B, profile, "T2S-pt Case2", witnesses)
-        )
+        return B, CaseTrace("T2S-pt", "Case2", {"d": d, "b_k": b_k, "I": levels_I, "J": levels_J})
     if case == "Case3":
         span = _span_digits(q, levels_I)
         B = GroupSet.from_elements(q, ((s0, y) for s0 in range(q.p) for y in span))
-        witnesses = {"I": levels_I, "J": levels_J}
-        return B, CaseTrace(
-            "T2S-pt", "Case3", _verify_spectrum(A, B, profile, "T2S-pt Case3", witnesses)
-        )
+        return B, CaseTrace("T2S-pt", "Case3", {"I": levels_I, "J": levels_J})
     if case == "Case1":
         raise ContradictionError(
             "the complement carries the zero pattern of a spectrum larger than "
@@ -244,24 +229,22 @@ def _tile_spectrum_case(
 # Spectral set -> tiling complement
 
 
-def complement_from_spectrum(
-    A: GroupSet, B: GroupSet | None = None, *, profile: ZeroProfile | None = None
-) -> tuple[GroupSet, CaseTrace]:
+def complement_from_spectrum(A: GroupSet, B: GroupSet | None = None) -> tuple[GroupSet, CaseTrace]:
     """Build a tiling complement T for a spectral set A, |A| * |T| = |G|.
 
     A supplied spectrum B is checked first, at any size, and consulted
     where the case split needs its axis-zero levels or a difference
     witness; without one, a spectrum is searched when the group order is
     within the oracle cap.  The built T is checked before it is returned.
-    A caller that already holds zero_set(A) passes it as profile; it is
-    trusted, not recomputed.  Otherwise it is computed at most once here.
+    zero_set(A) is computed at most once: for the check of B, or where the
+    case split first reads it, and not for the sizes decided without it.
     """
     if A.cardinality == 0:
         raise InvalidInputError("the empty set is not spectral")
+    profile = None
     if B is not None:
         _require_same_params(A.params, B.params)
-        if profile is None:
-            profile = zero_set(A)
+        profile = zero_set(A)
         if _spectral_violation(A, B, profile) is not None:
             raise InvalidInputError("supplied spectrum fails the spectral-pair check")
     T, trace = _spectral_complement(A, B, profile)

@@ -33,10 +33,9 @@ from .errors import CapacityError, ParameterError
 DEFAULT_ORDER_LIMIT = 2**24
 
 # Largest order an exhaustive sweep or canonicalize accepts, and so the
-# largest for which any per-group table is prebuilt: the rotation masks and
-# the byte tables of profile_key, the orbit scan and translate_sums (at most
-# 4 tables of 256 entries per table set).  Single-set operations count
-# residues instead.
+# largest for which any per-group table is prebuilt: the byte tables of
+# profile_key, the orbit scan and translate_sums (at most 4 tables of 256
+# entries per table set).  Single-set operations count residues instead.
 SWEEP_ORDER_LIMIT = 32
 # Width of one packed slice count; a count is at most the order, 32 < 2^7.
 _FIELD_BITS = 7
@@ -316,10 +315,9 @@ class GroupTables:
 
     Everything sized in the group order is a cached property, built on
     first use, so that large (but in-cap) groups only pay for the tables
-    their operations actually touch.  The rotation keep masks are prebuilt,
-    one per y offset, only up to SWEEP_ORDER_LIMIT; above it each
-    translation builds its own, so memory stays a few bitmaps whatever the
-    translations used.
+    their operations actually touch.  Each translation builds its own
+    rotation keep mask, so memory stays a few bitmaps whatever the
+    translations used; only the orbit scan's tables keep one per y offset.
     """
 
     # Cached properties go to __dict__, the rest to slots: in a plain instance
@@ -327,7 +325,7 @@ class GroupTables:
     # about 3x slower (CPython 3.11), and the canonical sweep with it.
     __slots__ = (
         "params", "p", "pn", "pn1", "order", "full_mask", "phi_degree",
-        "rep_count", "rep_elem_index", "_rot_keep", "__dict__",
+        "rep_count", "rep_elem_index", "__dict__",
     )
 
     def __init__(self, params: GroupParams) -> None:
@@ -345,10 +343,6 @@ class GroupTables:
         # the index of (1, 0), then of each (c, p^i) at rep id 1 + i*p + c
         self.rep_elem_index = [pn] + [c * pn + p**i for i in range(n) for c in range(p)]
         self.rep_count = len(self.rep_elem_index)
-
-        self._rot_keep = None
-        if order <= SWEEP_ORDER_LIMIT:  # at gy = 0 the keep mask is every bit
-            self._rot_keep = [self._replicated_low_bits(pn - gy) for gy in range(pn)]
 
     def _replicated_low_bits(self, width: int) -> int:
         # the low `width` bits of every p^n block, doubling the block count
@@ -438,12 +432,13 @@ class GroupTables:
             images = [1 << (a * x % p * pn + a * y % pn) for x in range(p) for y in range(pn)]
             scalings.append(self._byte_tables(images))
         both = (1 << 2 * order) - 1  # every bit of a doubled bitmap
+        keeps = [self._replicated_low_bits(pn - gy) for gy in range(pn)]  # at gy = 0, every bit
         y_rotations = [
             (keep | keep << order, gy, both ^ (keep | keep << order), pn - gy)
-            for gy, keep in enumerate(self._rot_keep)
+            for gy, keep in enumerate(keeps)
         ]
         x_shifts = [order - gx * pn for gx in (*range(1, p), 0)]
-        return (1 << pn) - 1, self._rot_keep[pn - 1], scalings, y_rotations, x_shifts
+        return (1 << pn) - 1, keeps[pn - 1], scalings, y_rotations, x_shifts
 
     def sub_index(self, a: int, b: int) -> int:
         ax, ay = divmod(a, self.pn)
@@ -454,8 +449,7 @@ class GroupTables:
         """Bitmap of {e + g : e in m}."""
         gx, gy = divmod(g_idx, self.pn)
         if gy:
-            rot = self._rot_keep
-            keep = rot[gy] if rot is not None else self._replicated_low_bits(self.pn - gy)
+            keep = self._replicated_low_bits(self.pn - gy)
             # full_mask ^ keep: with ~keep a translation at order 2^16 ran 2x slower
             m = ((m & keep) << gy) | ((m & (self.full_mask ^ keep)) >> (self.pn - gy))
         if gx:

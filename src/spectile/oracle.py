@@ -54,6 +54,7 @@ from .group import (
     GroupParams,
     GroupSet,
     GroupTables,
+    _mask_of,
     _require_same_params,
     difference_set,
     group_tables,
@@ -205,14 +206,15 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> int | None:
     containing 0 loses nothing because the edge relation is translation
     invariant.  The search keeps its own stack, so its depth is not
     bounded by the interpreter's recursion limit, and nothing per vertex:
-    it holds at most k bitmaps.
+    it holds at most k candidate bitmaps and the indices of the chosen
+    vertices, whose bitmap is built only on return.
     """
     if k <= 0:
         return None
     if k == 1:
         return 1
     translate = t.translate_mask
-    chosen = [1]  # the bits of the chosen vertices
+    chosen = [0]  # the indices of the chosen vertices
     cands = [zmask]  # per depth: untried vertices adjacent to chosen, above its last
     while cands:
         cand = cands[-1]
@@ -224,10 +226,11 @@ def _find_clique(t: GroupTables, zmask: int, k: int) -> int | None:
         b = cand & -cand
         cand ^= b
         cands[-1] = cand
-        chosen.append(b)
+        v = b.bit_length() - 1
+        chosen.append(v)
         if need == 1:
-            return sum(chosen)
-        cands.append(cand & translate(zmask, b.bit_length() - 1))  # b's neighbours
+            return _mask_of(t.order, chosen)
+        cands.append(cand & translate(zmask, v))  # v's neighbours
     return None
 
 
@@ -507,10 +510,10 @@ def _run_shard(args: tuple) -> tuple:
     # The memo maps g | k, for g the guard key of a set (its low 7 bits
     # clear) and k <= 32 its size, to both verdicts: a complement of one
     # set with that zero profile and size is one of every such set.  An
-    # entry holds the profile, the spectrum and the complement (None if
-    # none), the (kind, detail) of every check failing on each set it
-    # serves and, per construction, what its round trips keep.  A miss adds
-    # one entry: the spectral misses are len(memo).
+    # entry holds the spectrum and the complement (None if none), the
+    # (kind, detail) of every check failing on each set it serves and, per
+    # construction, what its round trips keep.  A miss adds one entry: the
+    # spectral misses are len(memo).
     memo: dict[int, list] = {}
     # translate sums per complement mask, one table set for every entry
     # whose sets are checked against that complement
@@ -527,11 +530,11 @@ def _run_shard(args: tuple) -> tuple:
     mismatches: list[Mismatch] = []
     profile_key = t.profile_key
 
-    def round_trip(name, mask, k, partner, profile, kept):
-        # A construction reads a set A only through |A|, the profile and
-        # the partner, which the sets of an entry share, and through A's
-        # own tiling-pair check against a T: the supplied complement, or
-        # the one built.  So once a set of the entry passes, kept holds the
+    def round_trip(name, mask, k, partner, kept):
+        # A construction reads a set A only through |A|, its zero profile
+        # and the partner, which the sets of an entry share, and through
+        # A's own tiling-pair check against a T: the supplied complement,
+        # or the one built.  So once a set of the entry passes, kept holds the
         # translate sums and the guard key of that T, and a later set costs
         # one table sum (its size is the entry's, so the sum decides).
         if kept is not None and sum(
@@ -544,9 +547,7 @@ def _run_shard(args: tuple) -> tuple:
         nonlocal calls
         calls += 1
         try:
-            built, _ = getattr(constructions, name)(
-                GroupSet(params, mask), partner, profile=profile
-            )
+            built, _ = getattr(constructions, name)(GroupSet(params, mask), partner)
         except Exception as exc:  # any failure here is a finding
             mismatches.append(
                 Mismatch("construction", mask, k, f"{name}: {type(exc).__name__}: {exc}")
@@ -591,27 +592,26 @@ def _run_shard(args: tuple) -> tuple:
                 if tl != sp:
                     failed.append(("theorem", f"tile={tl} but spectral={sp}"))
                 entry = memo[g | k] = [
-                    profile,
                     GroupSet(params, bmask) if bmask else None,
                     GroupSet(params, tmask) if tmask else None,
                     tuple(failed),
                     None,  # kept by spectrum_from_tile
                     None,  # kept by complement_from_spectrum
                 ]
-            profile, B, T, failed, _, _ = entry
+            B, T, failed, _, _ = entry
             for kind, detail in failed:
                 mismatches.append(Mismatch(kind, mask, k, detail))
             if T is not None:
                 tiles += 1
-                kept = round_trip("spectrum_from_tile", mask, k, T, profile, entry[4])
-                entry[4] = kept or entry[4]
+                kept = round_trip("spectrum_from_tile", mask, k, T, entry[3])
+                entry[3] = kept or entry[3]
             if B is None:
                 continue
             spectral += 1
-            kept = round_trip("complement_from_spectrum", mask, k, B, profile, entry[5])
+            kept = round_trip("complement_from_spectrum", mask, k, B, entry[4])
             if kept is None:
                 continue
-            entry[5] = kept
+            entry[4] = kept
             if g & kept[1]:  # a class outside both zero sets
                 mismatches.append(
                     Mismatch("zero-cover", mask, k, "zero sets of tiling pair do not cover")

@@ -36,6 +36,21 @@ class TestSpectrumFromTile:
         assert trace.witnesses["zero"] == (0, 2)
         assert verify_spectral_pair(A, B)
 
+    def test_every_built_spectrum_is_checked(self, monkeypatch):
+        # a wrong spectrum from the build is caught by the one check against
+        # the zero set of A, and named by the branch that built it
+        wrong = make_set(P22, [(0, 0), (1, 0)])
+        monkeypatch.setattr(
+            constructions, "_tile_spectrum",
+            lambda A, T, t_exp, profile: (wrong, constructions.CaseTrace("T2S-p", "Main")),
+        )
+        with pytest.raises(InvalidInputError) as exc_info:
+            spectrum_from_tile(make_set(P22, [(0, 0), (0, 1)]))
+        assert str(exc_info.value) == (
+            "T2S-p Main: constructed spectrum failed verification; "
+            "the input is not the tile it was claimed to be"
+        )
+
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
     def test_lowest_zero_index_is_class_minimum(self, p, n):
         # T2S-p takes its zero from this arithmetic, not from a class bitmap
@@ -313,14 +328,16 @@ class TestConstructionRoundTrips:
 def _record_branches(monkeypatch) -> tuple[list[tuple[str, str]], list[tuple]]:
     """Wrap both public constructions where the sweep looks them up; the
     returned lists collect the (theorem, case) of every call and, in the
-    same order, its (construction name, A, partner, profile, trace)."""
+    same order, its (construction name, A, partner, trace).  The wrapper
+    takes exactly (A, partner=None), so a caller passing anything else
+    fails."""
     fired, calls = [], []
 
     def recording(fn):
-        def wrapper(A, partner=None, *, profile=None):
-            built, trace = fn(A, partner, profile=profile)
+        def wrapper(A, partner=None):
+            built, trace = fn(A, partner)
             fired.append((trace.theorem, trace.case))
-            calls.append((fn.__name__, A, partner, profile, trace))
+            calls.append((fn.__name__, A, partner, trace))
             return built, trace
 
         return wrapper
@@ -360,6 +377,13 @@ class TestBranchCoverage:
 
 
 class TestProfileReuse:
+    # a construction computes zero_set(A) itself, at most once per call, and
+    # zero_set of the partner only in the branches whose case split reads it
+    PARTNER_CASES = {
+        ("T2S-pt", "Case2"), ("T2S-pt", "Case3"), ("S2T-ps", "Case2"), ("S2T-ps", "Case3")
+    }
+    A = GroupSet.from_indices(P23, [0, 1, 2, 9])  # T2S-pt Case2, S2T-ps Case3
+
     @staticmethod
     def _count_zero_sets(monkeypatch):
         from spectile import oracle
@@ -374,47 +398,72 @@ class TestProfileReuse:
         monkeypatch.setattr(oracle, "zero_set", counting)
         return calls
 
-    def test_sweep_profiles_only_partners(self, monkeypatch):
-        # the sweep hands each entry's profile to both constructions and
-        # calls each once per entry, so zero_set runs only on the partner a
-        # case split consults, once per (construction, profile, |A|, partner)
+    def test_sweep_profiles_a_once_per_call(self, monkeypatch):
+        # the sweep hands a construction only the set and its partner; each
+        # call profiles A once (spectrum_from_tile not at sizes 1 and |G|)
+        # and its partner where the case split reads it, in call order
         from spectile import enumerate_and_check
 
         calls = self._count_zero_sets(monkeypatch)
-        fired, args = _record_branches(monkeypatch)
+        _, args = _record_branches(monkeypatch)
         assert enumerate_and_check(P22, shards=1).mismatches == []
-        partner_cases = {
-            ("T2S-pt", "Case2"), ("T2S-pt", "Case3"), ("S2T-ps", "Case2"), ("S2T-ps", "Case3")
-        }
-        firings = [a for f, a in zip(fired, args) if f in partner_cases]
-        expected = {
-            (name, profile.key(), A.cardinality, partner.mask)
-            for name, A, partner, profile, _ in firings
-        }
-        assert len(firings) == len(expected) > 0
-        assert len(calls) == len(expected)
-        assert {T.mask for T in calls} == {key[3] for key in expected}
+        expected = []
+        for name, A, partner, trace in args:
+            if name == "complement_from_spectrum" or trace.theorem != "T2S-trivial":
+                expected.append(A)
+            if (trace.theorem, trace.case) in self.PARTNER_CASES:
+                expected.append(partner)
+        assert any((t.theorem, t.case) in self.PARTNER_CASES for *_, t in args)
+        assert calls == expected
 
     def test_spectrum_from_tile_profiles_a_once(self, monkeypatch):
-        A = make_set(P22, [(0, 0), (0, 1)])
-        profile = zero_set(A)
+        A = make_set(P22, [(0, 0), (0, 1)])  # T2S-p Main
+        T4 = find_complement_bruteforce(self.A)
         calls = self._count_zero_sets(monkeypatch)
-        B, trace = spectrum_from_tile(A)
+        assert spectrum_from_tile(A)[1].case == "Main"
         assert calls == [A]
         calls.clear()
-        assert spectrum_from_tile(A, profile=profile) == (B, trace)
+        assert spectrum_from_tile(self.A, T4)[1].case == "Case2"
+        assert calls == [self.A, T4]
+        calls.clear()
+        for trivial in (GroupSet.from_indices(P22, [3]), GroupSet.full(P22)):
+            assert spectrum_from_tile(trivial)[1].theorem == "T2S-trivial"
         assert calls == []
 
     def test_complement_from_spectrum_profiles_a_once(self, monkeypatch):
-        A = make_set(P22, [(0, 0), (0, 1)])
+        A = make_set(P22, [(0, 0), (0, 1)])  # S2T-p, which reads no partner
         B = make_set(P22, [(0, 0), (0, 2)])
-        profile = zero_set(A)
+        B4 = find_spectrum_bruteforce(self.A)
+        single, full = GroupSet.from_indices(P22, [3]), GroupSet.full(P22)
         calls = self._count_zero_sets(monkeypatch)
-        T, trace = complement_from_spectrum(A, B)
-        assert calls == [A]
+        for partner in (B, None):
+            complement_from_spectrum(A, partner)
+            assert calls == [A]
+            calls.clear()
+        assert complement_from_spectrum(self.A, B4)[1].case == "Case3"
+        assert calls == [self.A, B4]
         calls.clear()
-        assert complement_from_spectrum(A, B, profile=profile) == (T, trace)
+        # without a spectrum to check, sizes 1 and |G| never need the profile
+        complement_from_spectrum(single)
+        complement_from_spectrum(full)
         assert calls == []
+        complement_from_spectrum(single, single)
+        assert calls == [single]
+
+    def test_no_caller_can_hand_in_a_profile(self):
+        # a tile of Z3xZ3 and the zero set of another set of its size: the
+        # constructions take no profile, so the spectrum built is A's own
+        q = GroupParams(3, 1)
+        A = make_set(q, [(0, 0), (0, 1), (0, 2)])
+        wrong = zero_set(make_set(q, [(0, 0), (1, 0), (2, 0)]))
+        T = find_complement_bruteforce(A)
+        for fn in (spectrum_from_tile, complement_from_spectrum):
+            with pytest.raises(TypeError):
+                fn(A, None, profile=wrong)
+            with pytest.raises(TypeError):
+                fn(A, None, wrong)
+        B, _ = spectrum_from_tile(A, T)
+        assert verify_spectral_pair(A, B)
 
 
 class TestStoredPartners:
@@ -429,13 +478,12 @@ class TestStoredPartners:
 
     def test_equal_but_distinct_traces(self):
         A, T, B = self._pairs()
-        profile = zero_set(A)
         for fn, partner in ((spectrum_from_tile, T), (complement_from_spectrum, B)):
-            (b1, t1), (b2, t2) = fn(A, partner, profile=profile), fn(A, partner, profile=profile)
-            assert b1 == b2 and t1 == t2 and t1 == fn(A, partner)[1]
+            (b1, t1), (b2, t2) = fn(A, partner), fn(A, partner)
+            assert b1 == b2 and t1 == t2
             assert t1 is not t2 and t1.witnesses is not t2.witnesses
 
-    def test_mutating_a_trace_leaves_the_store(self, monkeypatch):
+    def test_mutating_a_trace_leaves_later_calls(self, monkeypatch):
         from dataclasses import FrozenInstanceError
 
         from spectile import enumerate_and_check
@@ -457,38 +505,31 @@ class TestStoredPartners:
                     setattr(trace, name, None)
             assert all(immutable(v) for v in trace.witnesses.values()), trace
         A, T, B = self._pairs()
-        profile = zero_set(A)
         for fn, partner in ((spectrum_from_tile, T), (complement_from_spectrum, B)):
-            _, first = fn(A, partner, profile=profile)
+            _, first = fn(A, partner)
             clean = fn(A, partner)[1]
             first.witnesses["extra"] = 1
-            assert fn(A, partner, profile=profile)[1] == clean
+            assert fn(A, partner)[1] == clean
 
     def test_a_failing_build_raises_on_every_call(self, monkeypatch):
         A, T, B = self._pairs()
-        profile = zero_set(A)
         monkeypatch.setattr(constructions, "_case3_witness", lambda *a: 1 / 0)
         for _ in range(2):
             with pytest.raises(ZeroDivisionError):
-                complement_from_spectrum(A, B, profile=profile)
+                complement_from_spectrum(A, B)
 
-    def test_each_set_still_checks_its_own_tiling(self):
-        # the profile of A1, passed untruthfully for A2 of the same size: the
-        # complement built for A1 is built again and then refused, since
-        # A2's own tiling check runs
+    def test_each_set_still_checks_the_supplied_spectrum(self):
+        # A1 and A2 of one size: A2 must refuse the spectrum of A1 by its
+        # own spectral-pair check, against its own zero set
         q = GroupParams(3, 1)
         A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
         A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
-        profile = zero_set(A1)
         B = find_spectrum_bruteforce(A1)
-        T, _ = complement_from_spectrum(A1, B, profile=profile)
-        assert verify_tiling_pair(A1, T) and not verify_tiling_pair(A2, T)
+        assert not verify_spectral_pair(A2, B)
+        complement_from_spectrum(A1, B)
         with pytest.raises(InvalidInputError) as exc_info:
-            complement_from_spectrum(A2, B, profile=profile)
-        assert str(exc_info.value) == (
-            "S2T-p Case2: constructed complement failed verification; "
-            "the input is not the spectral set it was claimed to be"
-        )
+            complement_from_spectrum(A2, B)
+        assert str(exc_info.value) == "supplied spectrum fails the spectral-pair check"
 
     def test_each_set_still_checks_the_supplied_complement(self):
         # the spectrum_from_tile twin: A2 must refuse the complement of A1
@@ -496,12 +537,11 @@ class TestStoredPartners:
         q = GroupParams(3, 1)
         A1 = make_set(q, [(0, 0), (0, 1), (0, 2)])
         A2 = make_set(q, [(0, 0), (1, 0), (2, 0)])
-        profile = zero_set(A1)
         T = find_complement_bruteforce(A1)
         assert not verify_tiling_pair(A2, T)
-        spectrum_from_tile(A1, T, profile=profile)
+        spectrum_from_tile(A1, T)
         with pytest.raises(InvalidInputError) as exc_info:
-            spectrum_from_tile(A2, T, profile=profile)
+            spectrum_from_tile(A2, T)
         assert str(exc_info.value) == "supplied complement fails the tiling-pair check"
 
     def test_one_direct_tiling_check_per_stored_partner(self, monkeypatch):

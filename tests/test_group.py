@@ -19,7 +19,7 @@ from spectile import (
     scale_translate,
     valuation,
 )
-from spectile.group import DEFAULT_ORDER_LIMIT, SWEEP_ORDER_LIMIT, group_tables
+from spectile.group import DEFAULT_ORDER_LIMIT, group_tables
 
 from conftest import SMALL_PARAMS, make_set
 
@@ -323,12 +323,11 @@ class TestGroupTables:
 
     @pytest.mark.parametrize("p, n", [(2, 4), (2, 5), (2, 11), (3, 7), (67, 1)])
     def test_translate_mask_across_table_cap(self, p, n):
-        # up to the cap (order 32) the rotation masks are prebuilt lists;
-        # above it (orders 64, 4096, 6561, 4489) each call builds its own,
-        # with p blocks replicated by doubling
+        # below the sweep cap of 32 (order 16) and above it (orders 64,
+        # 4096, 6561, 4489) each call builds its own rotation mask, with p
+        # blocks replicated by doubling
         q = GroupParams(p, n)
         t = group_tables(q)
-        assert (t._rot_keep is not None) == (q.order <= SWEEP_ORDER_LIMIT)
         rng = random.Random(7)
         A = GroupSet.from_indices(q, rng.sample(range(q.order), min(40, q.order // 2)))
         for gi in rng.sample(range(q.order), 25):

@@ -265,6 +265,22 @@ class TestBruteForceSearches:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_spectrum_search_keeps_chosen_vertices_as_indices(self):
+        # the subgroup {(0, 2y)} of order 4096 in Z2 x Z_{2^13} has a clique
+        # of 4096 vertices; its stack holds one candidate bitmap and one
+        # index per depth, where a 2 KB bitmap kept per chosen vertex as
+        # well peaked at 18.3 MB
+        q = GroupParams(2, 13)
+        A = make_set(q, [(0, 2 * y) for y in range(q.pn // 2)])
+        tracemalloc.start()
+        try:
+            B = find_spectrum_bruteforce(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B is not None and verify_spectral_pair(A, B)
+        assert peak < 12_000_000
+
     def test_complement_search_keeps_one_cover(self):
         # a singleton's cover picks all 8192 translates at order 8192; one
         # running cover bitmap undone by XOR stays under the bound, where
